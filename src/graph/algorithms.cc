@@ -1,9 +1,8 @@
 #include "src/graph/algorithms.h"
 
-#include <algorithm>
-#include <cassert>
 #include <numeric>
 #include <queue>
+#include <utility>
 
 namespace treelocal {
 
@@ -57,31 +56,28 @@ std::vector<int> MaskedComponents(const Graph& g, const std::vector<char>& mask,
 
 namespace {
 
-// BFS within the mask from `source`; returns (farthest node, distance) and
-// optionally fills dist_out.
+// BFS within the mask from `source`, with caller-owned scratch reused across
+// searches: `dist` is all -1 on entry and on return (only the entries this
+// search set are reset), `queue` is a flat FIFO. Returns (farthest node,
+// distance); the cost is the visited nodes plus their incident edges.
 std::pair<int, int> MaskedBfsFarthest(const Graph& g,
                                       const std::vector<char>& mask,
-                                      int source, std::vector<int>* dist_out) {
-  std::vector<int> dist(g.NumNodes(), -1);
-  std::queue<int> q;
+                                      int source, std::vector<int>& dist,
+                                      std::vector<int>& queue) {
+  queue.assign(1, source);
   dist[source] = 0;
-  q.push(source);
-  int far = source, far_d = 0;
-  while (!q.empty()) {
-    int v = q.front();
-    q.pop();
-    if (dist[v] > far_d) {
-      far_d = dist[v];
-      far = v;
-    }
+  for (size_t head = 0; head < queue.size(); ++head) {
+    int v = queue[head];
     for (int u : g.Neighbors(v)) {
       if (mask[u] && dist[u] < 0) {
         dist[u] = dist[v] + 1;
-        q.push(u);
+        queue.push_back(u);
       }
     }
   }
-  if (dist_out) *dist_out = std::move(dist);
+  // BFS dequeues in non-decreasing distance, so the last node is farthest.
+  const int far = queue.back(), far_d = dist[far];
+  for (int v : queue) dist[v] = -1;
   return {far, far_d};
 }
 
@@ -93,15 +89,13 @@ std::vector<int> MaskedTreeComponentDiameters(const Graph& g,
                                               int num_components) {
   std::vector<int> diameter(num_components, 0);
   std::vector<char> done(num_components, 0);
+  std::vector<int> dist(g.NumNodes(), -1), queue;
   for (int v = 0; v < g.NumNodes(); ++v) {
     if (!mask[v] || comp[v] < 0 || done[comp[v]]) continue;
     done[comp[v]] = 1;
     // Double BFS: exact on trees/forest components.
-    auto [far, d1] = MaskedBfsFarthest(g, mask, v, nullptr);
-    auto [far2, d2] = MaskedBfsFarthest(g, mask, far, nullptr);
-    (void)far2;
-    (void)d1;
-    diameter[comp[v]] = d2;
+    int far = MaskedBfsFarthest(g, mask, v, dist, queue).first;
+    diameter[comp[v]] = MaskedBfsFarthest(g, mask, far, dist, queue).second;
   }
   return diameter;
 }
@@ -159,12 +153,11 @@ std::vector<ComponentLeader> MaskedComponentLeaders(
     cl.nodes.push_back(v);
     if (cl.leader < 0 || key[v] > key[cl.leader]) cl.leader = v;
   }
+  // The BFS from the leader covers exactly its component, so the farthest
+  // distance is the leader's eccentricity.
+  std::vector<int> dist(g.NumNodes(), -1), queue;
   for (auto& cl : leaders) {
-    std::vector<int> dist;
-    MaskedBfsFarthest(g, mask, cl.leader, &dist);
-    int ecc = 0;
-    for (int v : cl.nodes) ecc = std::max(ecc, dist[v]);
-    cl.eccentricity = ecc;
+    cl.eccentricity = MaskedBfsFarthest(g, mask, cl.leader, dist, queue).second;
   }
   return leaders;
 }

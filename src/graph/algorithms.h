@@ -21,10 +21,12 @@ std::vector<int> ConnectedComponents(const Graph& g, int* num_components);
 std::vector<int> MaskedComponents(const Graph& g, const std::vector<char>& mask,
                                   int* num_components);
 
-// Exact diameter of each masked component, computed by BFS from every node of
-// the component *within the mask*. Intended for trees/forests (where a
-// double-BFS shortcut is exact) and small graphs; for masked subgraphs of
-// trees each component is a tree so double-BFS is used.
+// Exact diameter of each masked component of a tree or forest g, measured
+// within the mask by a double BFS (BFS to a farthest node, then BFS from
+// it), which is exact because every masked component of a forest is a tree.
+// `comp` / `num_components` are MaskedComponents' output. Cost: one n-sized
+// scratch array per call plus O(masked nodes + masked edges), where masked
+// edges counts every edge incident to a masked node.
 // Returns a vector indexed by component id.
 std::vector<int> MaskedTreeComponentDiameters(const Graph& g,
                                               const std::vector<char>& mask,
@@ -43,9 +45,13 @@ bool IsTree(const Graph& g);
 // cover with <= a forests.
 bool GreedyForestCover(const Graph& g, int a);
 
-// For each masked component of a *tree* g: a (node, eccentricity-in-component)
-// pair for the gather leader, where the leader is the node maximizing
-// (key[v]) within the component. Eccentricities measured inside the mask.
+// For each masked component of a *tree* g: the gather leader, the node
+// maximizing key[v] within the component (ties go to the lowest index), its
+// eccentricity measured inside the mask, and the component's nodes in
+// ascending order. Entries are ordered by component id (MaskedComponents'
+// numbering). Cost: O(n) per call for the component ids and scratch, plus
+// O(masked nodes + masked edges) (as above) for the leader searches,
+// independent of the number of components.
 struct ComponentLeader {
   int leader = -1;
   int eccentricity = 0;  // max distance from leader within component
