@@ -29,10 +29,12 @@ void AppendU64(std::string& out, uint64_t v) {
   for (int i = 0; i < 8; ++i) out.push_back(static_cast<char>(v >> (8 * i)));
 }
 
-void Fail(const std::string& msg) {
+[[noreturn]] void Fail(const std::string& msg) {
   throw CompactGraphError("invalid .cgr image: " + msg);
 }
-void Require(bool ok, const std::string& msg) {
+// Literal messages only: validation runs per node and per entry, so a check
+// with a built message must test first and call Fail under `if (!ok)`.
+void Require(bool ok, const char* msg) {
   if (!ok) Fail(msg);
 }
 
@@ -143,8 +145,9 @@ void CompactGraph::Parse(bool full_validation) {
   Require(flags == 0, "unknown flag bits set");
   const int64_t n64 = static_cast<int64_t>(read_u64());
   const int64_t m64 = static_cast<int64_t>(read_u64());
-  Require(n64 >= 0 && n64 <= INT32_MAX,
-          "node count " + std::to_string(n64) + " outside [0, 2^31)");
+  if (n64 < 0 || n64 > INT32_MAX) {
+    Fail("node count " + std::to_string(n64) + " outside [0, 2^31)");
+  }
   Require(m64 >= 0, "negative edge count");
   n_ = static_cast<int>(n64);
   m_ = m64;
@@ -165,11 +168,12 @@ void CompactGraph::Parse(bool full_validation) {
   size_t off = kHeaderBytes;
   const auto take = [&](uint64_t count, uint64_t elem_bytes,
                         const char* what) {
-    Require(elem_bytes == 0 || count <= (body - off) / elem_bytes,
-            std::string(what) + " section larger than the remaining image");
+    if (elem_bytes != 0 && count > (body - off) / elem_bytes) {
+      Fail(std::string(what) + " section larger than the remaining image");
+    }
     const unsigned char* section = data_ + off;
     off = Pad8(off + count * elem_bytes);
-    Require(off <= body, std::string(what) + " section padding overruns");
+    if (off > body) Fail(std::string(what) + " section padding overruns");
     return section;
   };
   block_base_ = reinterpret_cast<const uint64_t*>(take(nb, 8, "block_base"));
@@ -273,9 +277,10 @@ void CompactGraph::Parse(bool full_validation) {
       const unsigned char* const end = q + len;
       const HubEntry* hub = nullptr;
       if (len8_[v] == 255) {
-        Require(hub_idx < num_hubs_ && hubs_[hub_idx].node == v,
-                "hub sentinel for node " + std::to_string(v) +
-                    " missing from the hub table");
+        if (hub_idx >= num_hubs_ || hubs_[hub_idx].node != v) {
+          Fail("hub sentinel for node " + std::to_string(v) +
+               " missing from the hub table");
+        }
         hub = &hubs_[hub_idx++];
         Require(len >= 255, "hub node with a short stream");
         Require(len <= UINT32_MAX, "hub stream exceeds 4 GiB");
@@ -334,10 +339,10 @@ void CompactGraph::Parse(bool full_validation) {
         Require(node_uppers == hub->upper_count,
                 "hub upper_count disagrees with the stream");
       }
-      if ((v & 31) == 0) {
-        Require(eupper_base_[v >> 5] == static_cast<uint64_t>(uppers),
-                "eupper_base disagrees with the stream at block " +
-                    std::to_string(v >> 5));
+      if ((v & 31) == 0 &&
+          eupper_base_[v >> 5] != static_cast<uint64_t>(uppers)) {
+        Fail("eupper_base disagrees with the stream at block " +
+             std::to_string(v >> 5));
       }
       entries += deg;
       uppers += node_uppers;
@@ -369,9 +374,10 @@ void CompactGraph::Parse(bool full_validation) {
           ++cursor[u];
         }
       });
-      Require(ok && j == lower_off[v + 1],
-              "asymmetric adjacency at node " + std::to_string(v) +
-                  " (a neighbor list names it but it does not reciprocate)");
+      if (!ok || j != lower_off[v + 1]) {
+        Fail("asymmetric adjacency at node " + std::to_string(v) +
+             " (a neighbor list names it but it does not reciprocate)");
+      }
     }
   }
 }

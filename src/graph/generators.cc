@@ -36,7 +36,10 @@ void BalancedEdges(int n, int delta, const EdgeSink& sink) {
   }
 }
 
-// Pruefer decoding; O(n) working state (degrees + leaf set), no edge list.
+// Linear-time Pruefer decoding; O(n) working state (degrees), no edge list.
+// `ptr` scans forward for the smallest unused leaf; a node that becomes a
+// leaf below `ptr` is the smallest leaf at that moment, so it goes next.
+// Emits the same sequence as popping the minimum of an ordered leaf set.
 void UniformEdges(int n, uint64_t seed, const EdgeSink& sink) {
   if (n <= 2) {
     PathEdges(std::max(n, 0), sink);
@@ -47,19 +50,22 @@ void UniformEdges(int n, uint64_t seed, const EdgeSink& sink) {
   for (auto& x : prufer) x = static_cast<int>(rng.NextBelow(n));
   std::vector<int> degree(n, 1);
   for (int x : prufer) ++degree[x];
-  std::set<int> leaves;
-  for (int v = 0; v < n; ++v) {
-    if (degree[v] == 1) leaves.insert(v);
-  }
+  int ptr = 0;
+  while (degree[ptr] != 1) ++ptr;
+  int leaf = ptr;
   for (int x : prufer) {
-    int leaf = *leaves.begin();
-    leaves.erase(leaves.begin());
     sink(leaf, x);
-    if (--degree[x] == 1) leaves.insert(x);
+    if (--degree[x] == 1 && x < ptr) {
+      leaf = x;
+    } else {
+      do {
+        ++ptr;
+      } while (degree[ptr] != 1);
+      leaf = ptr;
+    }
   }
-  int a = *leaves.begin();
-  int b = *std::next(leaves.begin());
-  sink(a, b);
+  // The two nodes left are `leaf` and n - 1, which is never removed.
+  sink(leaf, n - 1);
 }
 
 void RecursiveEdges(int n, uint64_t seed, const EdgeSink& sink) {

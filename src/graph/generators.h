@@ -93,9 +93,10 @@ using EdgeSink = std::function<void(int u, int v)>;
 // Streaming form of MakeTree: emits the exact edge sequence
 // MakeTree(family, n, seed) would pass to Graph::FromEdges, one edge at a
 // time, without materializing the list — MakeTree itself is implemented on
-// top of this, so the two can never drift. Working state is O(n) for
-// kUniform (Pruefer decoding needs the degree array and leaf set) and O(1)
-// or O(frontier) for every other family; no O(m) edge buffer anywhere.
+// top of this, so the two can never drift. kUniform runs in O(n) time with
+// O(n) working state (the Pruefer sequence and degree array of a
+// linear-time decode); every other family needs O(1) or O(frontier) state;
+// no O(m) edge buffer anywhere.
 // Returns the node count of the emitted graph (kCaterpillar rounds n to
 // spine * 4 exactly as MakeTree does). Feeding tools/graph_convert with
 // this is how a 10^8-edge .cgr gets built without a 10^8-entry edge list.

@@ -98,8 +98,10 @@ class ByteReader {
   size_t pos_ = 0;
 };
 
-void Check(bool ok, const std::string& msg) {
-  if (!ok) throw SnapshotError("invalid snapshot: " + msg);
+// Literal messages only: validation runs per edge, node and deliverable, so
+// a check with a built message must test first and throw under `if (!ok)`.
+void Check(bool ok, const char* msg) {
+  if (!ok) throw SnapshotError(std::string("invalid snapshot: ") + msg);
 }
 
 // Structural validation shared by ReadSnapshot (untrusted bytes) and

@@ -1,7 +1,7 @@
 #include "src/support/rng.h"
 
+#include <algorithm>
 #include <cassert>
-#include <unordered_set>
 
 namespace treelocal {
 
@@ -28,12 +28,28 @@ double Rng::NextDouble() {
 std::vector<int64_t> DistinctIds(int n, uint64_t seed, int64_t space) {
   assert(space >= n);
   Rng rng(seed);
-  std::unordered_set<int64_t> seen;
+  // Flat open-addressing seen-set: capacity a power of two >= 2n, linear
+  // probing, 0 marks an empty slot (candidates are >= 1). Any exact set
+  // accepts and rejects the same candidates, so the IDs do not depend on it.
+  int bits = 1;
+  while ((size_t{1} << bits) < 2 * static_cast<size_t>(std::max(n, 0))) ++bits;
+  const size_t mask = (size_t{1} << bits) - 1;
+  std::vector<int64_t> seen(mask + 1, 0);
   std::vector<int64_t> ids;
   ids.reserve(n);
   while (static_cast<int>(ids.size()) < n) {
-    int64_t candidate = rng.NextInRange(1, space);
-    if (seen.insert(candidate).second) ids.push_back(candidate);
+    const int64_t candidate = rng.NextInRange(1, space);
+    // Fibonacci hashing: the top `bits` bits of the product.
+    size_t slot = static_cast<size_t>(
+        (static_cast<uint64_t>(candidate) * 0x9e3779b97f4a7c15ull) >>
+        (64 - bits));
+    while (seen[slot] != 0 && seen[slot] != candidate) {
+      slot = (slot + 1) & mask;
+    }
+    if (seen[slot] == 0) {
+      seen[slot] = candidate;
+      ids.push_back(candidate);
+    }
   }
   return ids;
 }

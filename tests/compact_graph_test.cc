@@ -11,6 +11,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_view.h"
+#include "src/support/digest.h"
 
 namespace treelocal {
 namespace {
@@ -200,6 +201,122 @@ TEST(CompactGraphTest, BuilderRejectsBadInput) {
     b.AddArc(0, 1);  // one direction only: validation must reject
     EXPECT_THROW(b.FinishImage(), CompactGraphError);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Exact validation error texts. The checks below build their message only
+// after the check fails, so a test that merely expects a throw would miss a
+// garbled or swapped message; these pin the full text.
+
+// Header field offsets (see the layout comment in compact_graph.h).
+constexpr size_t kNodesAt = 16;
+constexpr size_t kStreamBytesAt = 40;
+constexpr size_t kTotalAnchorsAt = 56;
+
+uint64_t GetU64(const std::string& image, size_t at) {
+  uint64_t v = 0;
+  for (int i = 0; i < 8; ++i) {
+    v |= static_cast<uint64_t>(static_cast<unsigned char>(image[at + i]))
+         << (8 * i);
+  }
+  return v;
+}
+
+void PutU64(std::string& image, size_t at, uint64_t v) {
+  for (int i = 0; i < 8; ++i) image[at + i] = static_cast<char>(v >> (8 * i));
+}
+
+// Recomputes the integrity footer so parsing, not the hash, sees the edit.
+std::string Repatched(std::string image) {
+  PutU64(image, image.size() - 8,
+         support::Fnv1a64(image.data(), image.size() - 8));
+  return image;
+}
+
+std::string ErrorText(const std::string& image) {
+  try {
+    CompactGraph::FromBytes(image);
+  } catch (const CompactGraphError& e) {
+    return e.what();
+  }
+  return "(accepted)";
+}
+
+TEST(CompactGraphTest, NodeCountErrorText) {
+  std::string image = CompactGraph::FromGraph(Path(40)).Serialize();
+  PutU64(image, kNodesAt, ~uint64_t{0});
+  EXPECT_EQ(ErrorText(Repatched(image)),
+            "invalid .cgr image: node count -1 outside [0, 2^31)");
+  PutU64(image, kNodesAt, uint64_t{1} << 31);
+  EXPECT_EQ(ErrorText(Repatched(image)),
+            "invalid .cgr image: node count 2147483648 outside [0, 2^31)");
+}
+
+TEST(CompactGraphTest, SectionSizeErrorText) {
+  std::string image = CompactGraph::FromGraph(Path(40)).Serialize();
+  std::string anchors = image;
+  PutU64(anchors, kTotalAnchorsAt, uint64_t{1} << 40);
+  EXPECT_EQ(ErrorText(Repatched(anchors)),
+            "invalid .cgr image: anchor table section larger than the "
+            "remaining image");
+  PutU64(image, kStreamBytesAt, uint64_t{1} << 40);
+  EXPECT_EQ(ErrorText(Repatched(image)),
+            "invalid .cgr image: stream section larger than the remaining "
+            "image");
+}
+
+TEST(CompactGraphTest, SectionPaddingErrorText) {
+  // Path(40)'s stream is 1 + 2 * 38 + 1 = 78 bytes, not a multiple of 8; cut
+  // the stream's padding so the section fits but its padding does not.
+  std::string image = CompactGraph::FromGraph(Path(40)).Serialize();
+  const uint64_t stream_bytes = GetU64(image, kStreamBytesAt);
+  ASSERT_NE(stream_bytes % 8, 0u);
+  const size_t padding = 8 - stream_bytes % 8;
+  image.erase(image.size() - 8 - padding, padding);
+  EXPECT_EQ(ErrorText(Repatched(image)),
+            "invalid .cgr image: stream section padding overruns");
+}
+
+TEST(CompactGraphTest, HubSentinelErrorText) {
+  // A sentinel with no hub-table entry. The cheap sentinel/table bijection
+  // check (run on every open) rejects it, which also keeps the full
+  // decode's per-node "hub sentinel for node v missing from the hub table"
+  // check from ever seeing such an image.
+  std::string image = CompactGraph::FromGraph(Star(1000)).Serialize();
+  ASSERT_EQ(CompactGraph::FromBytes(image).num_hubs(), 1u);
+  const size_t len8_at = 64 + 8 * ((1000 + 31) / 32) + 8 * 33;  // one wide
+  ASSERT_EQ(static_cast<unsigned char>(image[len8_at]), 255);
+  ASSERT_NE(static_cast<unsigned char>(image[len8_at + 1]), 255);
+  image[len8_at + 1] = static_cast<char>(255);
+  EXPECT_EQ(ErrorText(Repatched(image)),
+            "invalid .cgr image: hub sentinel without a hub table entry");
+}
+
+TEST(CompactGraphTest, EupperBaseBlockErrorText) {
+  // Path(96): three 32-node blocks, eupper_base = {0, 32, 64, 95}. 33 in
+  // place of 32 still passes the cheap monotone/range checks; only the
+  // full decode's per-block recount catches it.
+  std::string image = CompactGraph::FromGraph(Path(96)).Serialize();
+  const size_t eupper_at = 64 + 8 * 3 + 96;  // block_base, len8 (no wide)
+  ASSERT_EQ(GetU64(image, eupper_at + 8), 32u);
+  PutU64(image, eupper_at + 8, 33);
+  EXPECT_EQ(ErrorText(Repatched(image)),
+            "invalid .cgr image: eupper_base disagrees with the stream at "
+            "block 1");
+}
+
+TEST(CompactGraphTest, AsymmetricAdjacencyErrorText) {
+  // 0: {1}, 1: {0}, 2: {3}, 3: {1}. Entry and upper totals balance (4 =
+  // 2 * 2), so only the symmetry pass finds that node 3 names 1 while 1
+  // does not name 3 (and 2 names 3 while 3 does not name 2).
+  CompactGraph::Builder b(4);
+  b.AddArc(0, 1);
+  b.AddArc(1, 0);
+  b.AddArc(2, 3);
+  b.AddArc(3, 1);
+  EXPECT_EQ(ErrorText(b.FinishImage()),
+            "invalid .cgr image: asymmetric adjacency at node 3 (a neighbor "
+            "list names it but it does not reciprocate)");
 }
 
 TEST(CompactGraphTest, GraphViewDispatchesToBothBackends) {

@@ -71,8 +71,8 @@ using treelocal::CompactGraphError;
 
 // ---------------------------------------------------------------------------
 // External-memory arc sorter: Add() both directed arcs of every edge packed
-// as (node << 32 | neighbor); Drain() yields the globally sorted,
-// deduplicated arc sequence — exactly CompactGraph::Builder's input
+// as (node << 32 | neighbor); Sort() then Drain() yields the globally
+// sorted, deduplicated arc sequence — exactly CompactGraph::Builder's input
 // contract. Chunks above the budget spill to run files; a merge with
 // buffered readers never re-materializes the list.
 class ArcSorter {
@@ -94,16 +94,24 @@ class ArcSorter {
   size_t runs() const { return runs_; }
   int64_t duplicates() const { return duplicates_; }
 
+  // Sorts the in-memory chunk; once runs exist, spills it so it joins the
+  // merge. Call once, after the last Add() and before Drain().
+  void Sort() {
+    if (runs_ == 0) {
+      SortDedup(chunk_);
+      return;
+    }
+    if (!chunk_.empty()) Spill();
+    std::vector<uint64_t>().swap(chunk_);
+  }
+
   // f(uint64_t arc) over the sorted unique sequence. Single use.
   template <typename F>
   void Drain(F&& f) {
-    SortDedup(chunk_);
     if (runs_ == 0) {
       for (uint64_t arc : chunk_) f(arc);
       return;
     }
-    if (!chunk_.empty()) Spill();  // final partial chunk joins the merge
-    std::vector<uint64_t>().swap(chunk_);
 
     struct Run {
       std::ifstream in;
@@ -195,18 +203,20 @@ struct ConvertOptions {
 constexpr int64_t kMaxNode = (int64_t{1} << 31) - 1;
 
 // Feeds one undirected edge into the sorter as two packed arcs, with the
-// structured validation the loader contract promises. `where` names the
-// offending input location in errors.
+// structured validation the loader contract promises. `where()` returns
+// the offending input location; it is called only when throwing, so the
+// per-edge success path builds no string.
+template <typename Where>
 void AddEdge(ArcSorter& sorter, int64_t u, int64_t v, int64_t node_limit,
-             const std::string& where) {
+             const Where& where) {
   if (u == v) {
     throw CompactGraphError("graph_convert: self-loop " + std::to_string(u) +
-                            " at " + where);
+                            " at " + where());
   }
   if (u < 0 || v < 0 || u > kMaxNode || v > kMaxNode ||
       (node_limit >= 0 && (u >= node_limit || v >= node_limit))) {
     throw CompactGraphError(
-        "graph_convert: endpoint out of range at " + where + ": (" +
+        "graph_convert: endpoint out of range at " + where() + ": (" +
         std::to_string(u) + ", " + std::to_string(v) + ")" +
         (node_limit >= 0 ? " with --nodes " + std::to_string(node_limit)
                          : ""));
@@ -243,7 +253,7 @@ int64_t ReadTextEdges(const std::string& path, ArcSorter& sorter,
                               " of " + path + " has no second endpoint");
     }
     AddEdge(sorter, u, v, node_limit,
-            path + ":" + std::to_string(lineno));
+            [&] { return path + ":" + std::to_string(lineno); });
     max_id = std::max<int64_t>(max_id, std::max(u, v));
   }
   return max_id;
@@ -270,7 +280,7 @@ int64_t ReadBinaryEdges(const std::string& path, ArcSorter& sorter,
     for (size_t i = 0; i + 1 < words; i += 2, ++pair_index) {
       const int64_t u = buf[i], v = buf[i + 1];
       AddEdge(sorter, u, v, node_limit,
-              path + " pair " + std::to_string(pair_index));
+              [&] { return path + " pair " + std::to_string(pair_index); });
       max_id = std::max(max_id, std::max(u, v));
     }
     if (got < buf.size() * sizeof(uint32_t)) break;
@@ -295,7 +305,7 @@ int64_t StreamGenerator(const std::string& spec, ArcSorter& sorter) {
     return std::stoll(parts[i]);
   };
   const auto emit = [&](int u, int v) {
-    AddEdge(sorter, u, v, -1, "gen '" + spec + "'");
+    AddEdge(sorter, u, v, -1, [&] { return "gen '" + spec + "'"; });
   };
   if (parts[0] == "forest_union") {
     const int64_t n = arg(1), a = arg(2), seed = arg(3);
@@ -333,20 +343,34 @@ int Convert(const ConvertOptions& opt) {
     throw CompactGraphError("graph_convert: node count " + std::to_string(n) +
                             " exceeds the 2^31 - 1 node limit");
   }
+  // Phase clock: seconds since the previous call (chunk spills during
+  // reading count as read time; the run merge counts as build time).
+  auto phase_start = std::chrono::steady_clock::now();
+  const auto phase = [&phase_start] {
+    const double s = treelocal::bench::SecondsSince(phase_start);
+    phase_start = std::chrono::steady_clock::now();
+    return s;
+  };
   const double read_s = treelocal::bench::SecondsSince(t0);
 
+  sorter.Sort();
+  const double sort_s = phase();
   CompactGraph::Builder builder(n);
-  int64_t arcs = 0;
   sorter.Drain([&](uint64_t arc) {
     builder.AddArc(static_cast<int64_t>(arc >> 32),
                    static_cast<int64_t>(arc & 0xffffffffu));
-    ++arcs;
   });
-  const CompactGraph g = builder.Finish();  // full structural validation
+  std::string image = builder.FinishImage();
+  const double build_s = phase();
+  // Integrity hash + full structural validation (what Builder::Finish runs).
+  const CompactGraph g = CompactGraph::FromBytes(std::move(image));
+  const double validate_s = phase();
   g.WriteFile(opt.output);
+  const double write_s = phase();
   // Reopen mapped: proves the file on disk round-trips through the
   // cheap-validation open path consumers will use.
   const CompactGraph mapped = CompactGraph::OpenMapped(opt.output);
+  const double reopen_s = phase();
 
   const int64_t m = g.NumEdges();
   const double bpe = m > 0 ? static_cast<double>(g.MemoryBytes()) / m : 0.0;
@@ -367,13 +391,14 @@ int Convert(const ConvertOptions& opt) {
           : 0.0,
       sorter.runs());
   std::printf(
-      "read_seconds=%.3f total_seconds=%.3f peak_rss_bytes=%lld "
-      "mapped_ok=%d\n",
-      read_s, treelocal::bench::SecondsSince(t0),
+      "read_seconds=%.3f sort_seconds=%.3f build_seconds=%.3f "
+      "validate_seconds=%.3f write_seconds=%.3f reopen_seconds=%.3f "
+      "total_seconds=%.3f peak_rss_bytes=%lld mapped_ok=%d\n",
+      read_s, sort_s, build_s, validate_s, write_s, reopen_s,
+      treelocal::bench::SecondsSince(t0),
       static_cast<long long>(treelocal::bench::PeakRssBytes()),
       mapped.NumEdges() == m ? 1 : 0);
   std::printf("wrote %s\n", opt.output.c_str());
-  (void)arcs;
   return 0;
 }
 
