@@ -135,6 +135,7 @@ bool RunBackendComparison(int n, int k, int reps, bench::JsonWriter& json) {
   json.Field("digest", HexDigest(csr.digest));
   json.Field("transcripts_identical", identical);
   json.Field("peak_rss_bytes", bench::PeakRssBytes());
+  bench::HostFields(json);
 
   std::cout << "n=" << n << " m=" << m << "  " << bytes_per_edge
             << " bytes/edge (csr/" << ratio << ")  csr " << csr.seconds
@@ -242,6 +243,7 @@ bool RunHuge(int64_t n, int k, bench::JsonWriter& json) {
   // state), NOT the graph backend — recorded so the residency claim above
   // cannot be mistaken for a solve-memory claim.
   json.Field("solve_peak_rss_bytes", bench::PeakRssBytes());
+  bench::HostFields(json);
 
   std::cout << "  solved: rounds=" << res.engine_rounds
             << " messages=" << res.messages << " digest=" << HexDigest(digest)

@@ -11,6 +11,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <type_traits>
 #include <vector>
 
@@ -217,6 +218,42 @@ class JsonWriter {
   std::vector<std::string> records_;
   bool first_field_ = true;
 };
+
+// CMake defines this for the bench drivers; other includers see "unknown".
+#ifndef TREELOCAL_BUILD_TYPE
+#define TREELOCAL_BUILD_TYPE "unknown"
+#endif
+
+// CPU model from /proc/cpuinfo's first "model name" line ("" without
+// procfs).
+inline std::string CpuModel() {
+  std::ifstream in("/proc/cpuinfo");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.rfind("model name", 0) != 0) continue;
+    const size_t colon = line.find(':');
+    if (colon == std::string::npos) break;
+    const size_t start = line.find_first_not_of(' ', colon + 1);
+    return start == std::string::npos ? "" : line.substr(start);
+  }
+  return "";
+}
+
+// Stamps the current record with the host it ran on: a wall-clock number
+// without its machine cannot be compared with anything.
+inline void HostFields(JsonWriter& json) {
+  json.Field("host_nproc",
+             static_cast<int>(std::thread::hardware_concurrency()));
+  json.Field("host_cpu_model", CpuModel());
+#if defined(__clang__)
+  json.Field("host_compiler", "clang " __clang_version__);
+#elif defined(__GNUC__)
+  json.Field("host_compiler", "gcc " __VERSION__);
+#else
+  json.Field("host_compiler", "unknown");
+#endif
+  json.Field("host_build_type", TREELOCAL_BUILD_TYPE);
+}
 
 inline void EmitTrajectory(JsonWriter& json, const std::string& prefix,
                            const std::vector<local::RoundStats>& stats,

@@ -72,11 +72,10 @@ BatchNetwork::BatchNetwork(GraphView graph, std::vector<int64_t> ids,
   const size_t slots =
       2 * static_cast<size_t>(graph.NumEdges()) * static_cast<size_t>(batch);
 
-  // Same relabel scheme as Network: the channel clusters (and, per run, the
-  // state planes) are laid out by BFS rank while first_ and every halt/wake
-  // plane stay external-indexed, so the NodeContext hot paths are identical
-  // either way and only the physical layout + within-round iteration order
-  // change — neither observable in the LOCAL model.
+  // Same relabel scheme as Network: the channel offsets and clusters (and,
+  // per run, the state planes) are indexed by BFS rank while every halt/wake
+  // plane stays external-indexed; only the physical layout + within-round
+  // iteration order change — neither observable in the LOCAL model.
   std::vector<int> perm;
   if (options.relabel) perm = internal::BfsOrder(graph);
   internal::BuildChannelTables(graph, perm.empty() ? nullptr : perm.data(),
@@ -243,15 +242,10 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
   if (scheduled) {
     if (chan_owner_.empty()) {
       // recv channel -> receiver EXTERNAL node (the wake/halt planes are
-      // external-indexed; under relabel first_[v] already points into the
-      // BFS-laid channel space, so this covers every channel either way).
-      chan_owner_.assign(static_cast<size_t>(2) * graph_.NumEdges(), 0);
-      for (int v = 0; v < n; ++v) {
-        const int lo = first_[v];
-        const int hi = lo + graph_.Degree(v);   // not first_[v + 1]: see
-                                                // BuildChanOwner on relabel
-        for (int c = lo; c < hi; ++c) chan_owner_[c] = v;
-      }
+      // external-indexed): the solo engines' rank table mapped through
+      // order_.
+      chan_owner_ = internal::BuildChanOwner(first_);
+      for (int& owner : chan_owner_) owner = order_[owner];
     }
     // (Re)build every shard's calendar wholesale from the wake plane under
     // THIS call's max_rounds — uniform across fresh runs, resumes, and
@@ -331,13 +325,12 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
         }
         ctx.instance_ = b;
         ctx.node_ = v;
-        // State planes are rank-indexed; codes stay external (the sparse
-        // scheduled path gave up streaming anyway, so one perm lookup per
-        // visit is the whole relabel cost here).
-        const auto slot =
-            static_cast<size_t>(perm_.empty() ? v : perm_[v]);
+        // State planes and channel offsets are rank-indexed; codes stay
+        // external (the sparse scheduled path gave up streaming anyway, so
+        // one perm lookup per visit is the whole relabel cost here).
+        ctx.rank_ = perm_.empty() ? v : perm_[v];
         ctx.state_ = state_.data() + state_plane_bytes_ * b +
-                     slot * state_stride_;
+                     static_cast<size_t>(ctx.rank_) * state_stride_;
         ctx.sleep_until_ = round_ + 1;
         if (fault != nullptr) fault->OnVisit(round_);
         const int64_t sb = messages_delivered_[b];
@@ -374,6 +367,7 @@ std::vector<int> BatchNetwork::RunUntil(const std::vector<Algorithm*>& algs,
             const auto idx = static_cast<size_t>(v) * B + b;
             if (halted_[idx]) continue;
             ctx.node_ = v;
+            ctx.rank_ = r;
             ctx.state_ = state_plane + static_cast<size_t>(r) * state_stride_;
             if (fault != nullptr) fault->OnVisit(round_);
             const int64_t sb = messages_delivered_[b];
@@ -647,13 +641,13 @@ void BatchNetwork::Checkpoint(std::ostream& out) const {
     // to its solo run.
     if (live_nodes_[b] > 0) {
       for (int v = 0; v < n; ++v) {
-        const int deg = graph_.Degree(v);
-        for (int p = 0; p < deg; ++p) {
-          const Message& m =
-              inbox_[static_cast<size_t>(first_[v] + p) * B + b];
+        const int i = perm_.empty() ? v : perm_[v];
+        for (int c = first_[i]; c < first_[i + 1]; ++c) {
+          const Message& m = inbox_[static_cast<size_t>(c) * B + b];
           if (m.engine_stamp == epoch_ - 1 &&
               (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
-            inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
+            inst.deliverable.push_back(
+                {v, c - first_[i], m.word0, m.word1, m.size});
           }
         }
       }
@@ -758,8 +752,8 @@ void BatchNetwork::ApplySnapshot(const SnapshotData& snap, size_t stride) {
       }
     }
     for (const SnapshotMessage& msg : inst.deliverable) {
-      Message& slot =
-          inbox_[static_cast<size_t>(first_[msg.node] + msg.port) * B + b];
+      const int i = perm_.empty() ? msg.node : perm_[msg.node];
+      Message& slot = inbox_[static_cast<size_t>(first_[i] + msg.port) * B + b];
       slot.word0 = msg.word0;
       slot.word1 = msg.word1;
       slot.size = msg.size;

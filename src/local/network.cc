@@ -27,7 +27,7 @@ MaxRoundsExceededError::MaxRoundsExceededError(const std::string& engine,
 
 namespace internal {
 
-// send_chan[first[v] + p] = channel of the reverse half-edge (u -> v)
+// send_chan[first[rank(v)] + p] = channel of the reverse half-edge (u -> v)
 // where u = Neighbors(v)[p] — i.e. the receiver-side inbox slot a send on
 // (v, p) must land in. Built in O(n + m) by one streaming adjacency pass
 // with NO edge ids (so it works identically over either graph backend):
@@ -39,30 +39,22 @@ namespace internal {
 void BuildChannelTables(GraphView graph, const int* perm,
                         std::vector<int>& first, std::vector<int>& send_chan) {
   const int n = graph.NumNodes();
-  first.resize(n + 1);
-  if (perm == nullptr) {
-    first[0] = 0;
-    for (int v = 0; v < n; ++v) first[v + 1] = first[v] + graph.Degree(v);
-  } else {
-    // Internal-rank CSR offsets, then scattered back so first[] stays
-    // indexed by external node (the hot paths never see the permutation).
-    std::vector<int> offset(n + 1);
-    std::vector<int> inv(n);  // internal rank -> external node
-    for (int v = 0; v < n; ++v) inv[perm[v]] = v;
-    offset[0] = 0;
-    for (int i = 0; i < n; ++i) offset[i + 1] = offset[i] + graph.Degree(inv[i]);
-    for (int v = 0; v < n; ++v) first[v] = offset[perm[v]];
-    first[n] = offset[n];
-  }
+  const auto rank = [perm](int v) { return perm == nullptr ? v : perm[v]; };
+  // Degrees land at their rank's slot, then an in-place prefix sum turns
+  // them into rank-indexed offsets.
+  first.assign(n + 1, 0);
+  for (int v = 0; v < n; ++v) first[rank(v) + 1] = graph.Degree(v);
+  for (int i = 0; i < n; ++i) first[i + 1] += first[i];
 
   send_chan.resize(2 * static_cast<size_t>(graph.NumEdges()));
   std::vector<int> cnt(n, 0);  // lower neighbors of u paired so far
   for (int v = 0; v < n; ++v) {
     int p = 0;
+    const int base = first[rank(v)];
     graph.ForEachNeighbor(v, [&](int u) {
       if (u > v) {
-        const int a = first[v] + p;
-        const int b = first[u] + cnt[u]++;
+        const int a = base + p;
+        const int b = first[rank(u)] + cnt[u]++;
         send_chan[a] = b;
         send_chan[b] = a;
       }
@@ -118,18 +110,11 @@ std::vector<int> WorklistOrder(int n, const std::vector<int>& perm) {
   return order;
 }
 
-std::vector<int> BuildChanOwner(GraphView graph, const std::vector<int>& first,
-                                const std::vector<int>& order) {
-  const int n = graph.NumNodes();
-  std::vector<int> owner(2 * static_cast<size_t>(graph.NumEdges()));
+std::vector<int> BuildChanOwner(const std::vector<int>& first) {
+  const int n = static_cast<int>(first.size()) - 1;
+  std::vector<int> owner(static_cast<size_t>(first[n]));
   for (int i = 0; i < n; ++i) {
-    const int v = order[i];
-    const int lo = first[v];
-    // NOT first[v + 1]: under relabel first[] is external-indexed into the
-    // rank-ordered channel space, so v's block ends at first[v] + deg(v)
-    // while first[v + 1] is wherever external node v+1's block landed.
-    const int hi = lo + graph.Degree(v);
-    for (int c = lo; c < hi; ++c) owner[c] = i;
+    std::fill(owner.begin() + first[i], owner.begin() + first[i + 1], i);
   }
   return owner;
 }
@@ -194,7 +179,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   if (scheduled && wake_round_.empty() && n > 0) {
     // First scheduled run on this engine: arm the wake tables once.
     wake_round_.assign(n, 0);
-    chan_owner_ = internal::BuildChanOwner(graph_, first_, order_);
+    chan_owner_ = internal::BuildChanOwner(first_);
     notify_stamp_.reset(new std::atomic<int32_t>[n]);
     for (int i = 0; i < n; ++i) {
       notify_stamp_[i].store(-1, std::memory_order_relaxed);
@@ -368,11 +353,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     // the disarmed transition scan below, so both resolve wakes through
     // one predicate.
     const auto wake_if_observable = [&](int i) {
-      const int v = order_[i];
-      if (halted_[v] || wake_round_[i] <= round_ + 1) return;
-      const int lo = first_[v];
-      const int hi = lo + graph_.Degree(v);   // not first_[v + 1]: see
-                                              // BuildChanOwner on relabel
+      if (halted_[order_[i]] || wake_round_[i] <= round_ + 1) return;
+      const int lo = first_[i];
+      const int hi = first_[i + 1];
       bool observable = false;
       for (int c = lo; c < hi && !observable; ++c) {
         const Message& msg = inbox_[c];
@@ -433,6 +416,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
         const int v = order_[i];
         if (halted_[v] || wake_round_[i] != round_) continue;
         ctx.node_ = v;
+        ctx.rank_ = i;
         ctx.state_ = state_base + static_cast<size_t>(i) * stride;
         ctx.sleep_until_ = round_ + 1;  // default: act again next round
         if (fault != nullptr) fault->OnVisit(round_);
@@ -548,6 +532,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       const int i = active_[idx];
       const int v = order_[i];
       ctx.node_ = v;
+      ctx.rank_ = i;
       ctx.state_ = state_base + static_cast<size_t>(i) * stride;
       if (fault != nullptr) fault->OnVisit(round_);
       const int64_t sb = messages_delivered_;
@@ -588,8 +573,9 @@ void Network::Checkpoint(std::ostream& out) const {
   const SnapshotData snap = internal::BuildSoloSnapshot(
       graph_, ids_, SnapshotEngineKind::kNetwork, digest_messages_,
       finished_, round_, messages_delivered_, round_stats_, round_msg_acc_,
-      round_digests_, halted_, state_, state_stride_, order_, first_, inbox_,
-      epoch_, scheduled_, wake_round_.empty() ? nullptr : wake_round_.data());
+      round_digests_, halted_, state_, state_stride_, order_, perm_, first_,
+      inbox_, epoch_, scheduled_,
+      wake_round_.empty() ? nullptr : wake_round_.data());
   WriteSnapshot(out, snap);
 }
 

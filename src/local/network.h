@@ -156,14 +156,15 @@ const Message& RefRecv(const ReferenceNetwork& ref, int node, int port);
 void RefSend(ReferenceNetwork& ref, int node, int port, Message m);
 void RefHalt(ReferenceNetwork& ref, int node);
 
-// Builds the receiver-indexed CSR channel tables shared by all engines:
-// first[v] + p is the recv channel of (v, p), and send_chan[first[v] + p]
-// is the channel of the reverse half-edge. When `perm` is non-null it maps
-// external node -> internal rank and the channel blocks are laid out in
-// internal-rank order (NetworkOptions::relabel); first[] stays indexed by
-// external node, so the Recv/Send hot paths are identical either way.
-// Backend-agnostic (one streaming adjacency pass, no edge ids): both
-// graph backends yield byte-identical tables.
+// Builds the receiver-indexed CSR channel tables shared by all engines.
+// first[] has n+1 entries indexed by INTERNAL RANK: rank i's recv channels
+// are [first[i], first[i + 1]), so first[i] + p is the recv channel of
+// (node of rank i, p) and first[i + 1] - first[i] is that node's degree.
+// send_chan[first[i] + p] is the channel of the reverse half-edge. `perm`
+// maps external node -> internal rank (NetworkOptions::relabel), or is null
+// for the identity, in which case rank == node. Backend-agnostic (one
+// streaming adjacency pass, no edge ids): both graph backends yield
+// byte-identical tables.
 void BuildChannelTables(GraphView graph, const int* perm,
                         std::vector<int>& first, std::vector<int>& send_chan);
 
@@ -191,12 +192,10 @@ void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
 void ArmStatePlane(Algorithm& alg, int n, const int* inv,
                    std::vector<unsigned char>& plane, size_t& stride);
 
-// Inverts the CSR channel tables for the message-wake path: owner[c] is the
-// INTERNAL RANK of the node whose recv-channel block contains channel c
-// (i.e. the receiver of any Send that stores to c). order maps rank ->
-// external id, as in WorklistOrder.
-std::vector<int> BuildChanOwner(GraphView graph, const std::vector<int>& first,
-                                const std::vector<int>& order);
+// Inverts the rank-indexed channel offsets for the message-wake path:
+// owner[c] is the INTERNAL RANK whose recv-channel block contains channel c
+// (i.e. the receiver of any Send that stores to c).
+std::vector<int> BuildChanOwner(const std::vector<int>& first);
 }  // namespace internal
 
 // Per-node view handed to Algorithm::OnRound. In the LOCAL model (Definition
@@ -222,7 +221,10 @@ class NodeContext {
   // one shared object may key on it; the usual pattern (one Algorithm object
   // per instance) never needs it.
   int instance() const { return instance_; }
-  int degree() const { return graph_.Degree(node_); }
+  // O(1) from the engine's own channel offsets (first_[rank + 1] -
+  // first_[rank]); never a call into the graph backend, except on the
+  // ReferenceNetwork oracle.
+  inline int degree() const;
   int64_t id() const { return ids_[node_]; }
   int64_t neighbor_id(int port) const {
     return ids_[graph_.NeighborAt(node_, port)];
@@ -235,9 +237,12 @@ class NodeContext {
   // O(1): one channel-table load plus an epoch check.
   inline const Message& Recv(int port) const;
 
-  // Queue a message on `port` for delivery next round. O(1): the send
-  // channel for (node, port) is the node's own CSR slot, no lookup at all.
-  // Sending twice on a port in one round keeps only the last message.
+  // Queue a message on `port` for delivery next round. O(1). Network and
+  // ParallelNetwork look up the reverse half-edge in send_chan_ and store
+  // straight into the receiver's inbox slot (one random store);
+  // BatchNetwork stages at the sender's own CSR slot and scatters at the
+  // round barrier. Sending twice on a port in one round keeps only the last
+  // message.
   inline void Send(int port, Message m);
   inline void Broadcast(Message m);
 
@@ -285,12 +290,13 @@ class NodeContext {
 
   // CSR fast-path views (Network and ParallelNetwork; first_ non-null
   // selects this branch — the offset table is never empty, unlike the
-  // mailboxes of an edgeless graph). All writes reachable through them are disjoint
-  // across concurrently running nodes — each node stores only through its
-  // own send channels, halts only itself, and counts into its own shard's
-  // sent_ slot — which is the whole data-race argument for the sharded
-  // round pass. The engine refreshes inbox_/outbox_/epoch_ every round
-  // (the mailboxes swap).
+  // mailboxes of an edgeless graph). first_ is indexed by rank_, halted_ by
+  // node_. All writes reachable through them are disjoint across
+  // concurrently running nodes — each node stores only through its own send
+  // channels, halts only itself, and counts into its own shard's sent_ slot
+  // — which is the whole data-race argument for the sharded round pass.
+  // The engine refreshes inbox_/outbox_/epoch_ every round (the mailboxes
+  // swap).
   const int* first_ = nullptr;
   const int* send_chan_ = nullptr;
   const Message* inbox_ = nullptr;
@@ -330,6 +336,8 @@ class NodeContext {
   void* state_ = nullptr;
 
   int node_ = 0;
+  int rank_ = 0;  // node_'s internal rank (== node_ without relabel); set
+                  // with state_, indexes the engine's channel offsets
   int round_ = 0;
   int instance_ = 0;
 };
@@ -418,9 +426,10 @@ class Algorithm {
 //
 // Throughput design (the per-round cost is the system-wide bottleneck for
 // every pipeline in this repository):
-//   * Channel tables in CSR layout, built once at construction. Channels are
-//     indexed by the RECEIVER's CSR slot: Recv(v, p) is a single sequential
-//     load of v's own slot first_[v] + p (ports scan contiguously, so the
+//   * Channel tables in CSR layout, built once at construction, with the
+//     offsets indexed by internal rank. Channels are indexed by the
+//     RECEIVER's CSR slot: Recv(v, p) is a single sequential load of v's own
+//     slot first_[i] + p, i = v's rank (ports scan contiguously, so the
 //     prefetcher covers per-node inbox scans), while Send(v, p) stores
 //     through the precomputed send_chan_ table to the reverse half-edge — a
 //     random store, which the store buffer absorbs without stalling, unlike
@@ -561,8 +570,9 @@ class Network {
 
   GraphView graph_;
   std::vector<int64_t> ids_;
-  std::vector<int> first_;      // size n+1: CSR offsets; recv channel of
-                                // (v, p) is first_[v] + p
+  std::vector<int> first_;      // size n+1, by internal rank: recv channel
+                                // of (rank i, p) is first_[i] + p, and the
+                                // block ends at first_[i + 1]
   std::vector<int> send_chan_;  // size 2m: send channel of (v, p), i.e. the
                                 // channel of the reverse half-edge
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
@@ -838,7 +848,7 @@ class BatchNetwork {
   GraphView graph_;
   std::vector<int64_t> ids_;
   int batch_;
-  std::vector<int> first_;      // shared CSR offsets (see Network)
+  std::vector<int> first_;      // shared rank-indexed offsets (see Network)
   std::vector<int> send_chan_;  // shared reverse half-edge channels
   std::vector<int> order_;      // internal rank -> external id (iota, or BFS
                                 // under options.relabel), as in Network
@@ -892,8 +902,8 @@ class BatchNetwork {
   std::unique_ptr<SnapshotData> pending_resume_;
   // Wake-scheduling state (see Network and Shard::calendar): per-pair wake
   // rounds, the channel->receiver table the scatter's wake check uses
-  // (external-indexed, like everything batch), and per-instance wake
-  // counters. Armed lazily on the first scheduled run.
+  // (its values are external nodes, like the halt and wake planes), and
+  // per-instance wake counters. Armed lazily on the first scheduled run.
   std::vector<int32_t> wake_;             // (node, instance): v * batch_ + b
   std::vector<int> chan_owner_;           // recv channel -> receiver node
   std::vector<int64_t> wakes_;            // per instance, last Run
@@ -926,16 +936,24 @@ class ParallelBatchNetwork final : public BatchNetwork {
       : BatchNetwork(graph, std::move(ids), batch, num_threads) {}
 };
 
+inline int NodeContext::degree() const {
+  if (first_ != nullptr) [[likely]] return first_[rank_ + 1] - first_[rank_];
+  if (batch_ != nullptr) [[likely]] {
+    return batch_->first_[rank_ + 1] - batch_->first_[rank_];
+  }
+  return graph_.Degree(node_);
+}
+
 inline const Message& NodeContext::Recv(int port) const {
   if (first_ != nullptr) [[likely]] {
-    const auto c = static_cast<size_t>(first_[node_] + port);
+    const auto c = static_cast<size_t>(first_[rank_] + port);
     const Message& s = inbox_[c];
     return s.engine_stamp + 1 == epoch_ ? s : Network::kNoMessage;
   }
   if (batch_ != nullptr) [[likely]] {
     // Receiver-indexed and sequential, exactly like the solo engine: the
     // scatter already moved last round's sends here.
-    const auto c = static_cast<size_t>(batch_->first_[node_] + port);
+    const auto c = static_cast<size_t>(batch_->first_[rank_] + port);
     const Message& s =
         batch_->inbox_[c * static_cast<size_t>(batch_->batch_) + instance_];
     return s.engine_stamp + 1 == batch_->epoch_ ? s : Network::kNoMessage;
@@ -945,7 +963,7 @@ inline const Message& NodeContext::Recv(int port) const {
 
 inline void NodeContext::Send(int port, Message m) {
   if (first_ != nullptr) [[likely]] {
-    const auto c = static_cast<size_t>(send_chan_[first_[node_] + port]);
+    const auto c = static_cast<size_t>(send_chan_[first_[rank_] + port]);
     Message& s = outbox_[c];
     if (s.engine_stamp == epoch_) {
       // Second write on this channel this round: last write wins, undo the
@@ -989,7 +1007,7 @@ inline void NodeContext::Send(int port, Message m) {
     // sequential within a node visit, no random access on the send path at
     // all — and mark the channel dirty in this shard's own bookkeeping for
     // the round-end scatter (also sequential).
-    const int chan = batch_->first_[node_] + port;
+    const int chan = batch_->first_[rank_] + port;
     Message& s =
         batch_->stage_[batch_->plane_ * static_cast<size_t>(instance_) +
                        static_cast<size_t>(chan)];

@@ -60,7 +60,7 @@ int ParallelNetwork::RunUntil(Algorithm& alg, int max_rounds,
   if (scheduled && wake_round_.empty() && n > 0) {
     wake_round_.assign(n, 0);
     bucket_stamp_.assign(n, -1);
-    chan_owner_ = internal::BuildChanOwner(graph_, first_, order_);
+    chan_owner_ = internal::BuildChanOwner(first_);
     notify_stamp_.reset(new std::atomic<int32_t>[n]);
     for (int i = 0; i < n; ++i) {
       notify_stamp_[i].store(-1, std::memory_order_relaxed);
@@ -240,6 +240,7 @@ int ParallelNetwork::RunUntil(Algorithm& alg, int max_rounds,
       const int i = work[idx];
       const int v = order_[i];
       ctx.node_ = v;
+      ctx.rank_ = i;
       ctx.state_ = state_base + static_cast<size_t>(i) * stride;
       if (fault != nullptr) fault->OnVisit(round_);
       const int64_t sb = sh.sent;
@@ -266,6 +267,7 @@ int ParallelNetwork::RunUntil(Algorithm& alg, int max_rounds,
       const int v = order_[i];
       if (halted_[v] || wake_round_[i] != round_) continue;
       ctx.node_ = v;
+      ctx.rank_ = i;
       ctx.state_ = state_base + static_cast<size_t>(i) * stride;
       ctx.sleep_until_ = round_ + 1;
       if (fault != nullptr) fault->OnVisit(round_);
@@ -395,11 +397,9 @@ int ParallelNetwork::RunUntil(Algorithm& alg, int max_rounds,
       // stale calendar entry may already sit in the bucket — rewriting its
       // wake round makes that entry the wake visit).
       const auto wake_if_observable = [&](int i) {
-        const int v = order_[i];
-        if (halted_[v] || wake_round_[i] <= next) return;
-        const int lo = first_[v];
-        const int hi = lo + graph_.Degree(v);   // not first_[v + 1]: see
-                                                // BuildChanOwner on relabel
+        if (halted_[order_[i]] || wake_round_[i] <= next) return;
+        const int lo = first_[i];
+        const int hi = first_[i + 1];
         bool observable = false;
         for (int c = lo; c < hi && !observable; ++c) {
           const Message& msg = inbox_[c];
@@ -526,8 +526,9 @@ void ParallelNetwork::Checkpoint(std::ostream& out) const {
   const SnapshotData snap = internal::BuildSoloSnapshot(
       graph_, ids_, SnapshotEngineKind::kParallelNetwork, digest_messages_,
       finished_, round_, messages_delivered_, round_stats_, round_msg_acc_,
-      round_digests_, halted_, state_, state_stride_, order_, first_, inbox_,
-      epoch_, scheduled_, wake_round_.empty() ? nullptr : wake_round_.data());
+      round_digests_, halted_, state_, state_stride_, order_, perm_, first_,
+      inbox_, epoch_, scheduled_,
+      wake_round_.empty() ? nullptr : wake_round_.data());
   WriteSnapshot(out, snap);
 }
 

@@ -144,7 +144,7 @@ class ParallelNetwork {
 
   GraphView graph_;
   std::vector<int64_t> ids_;
-  std::vector<int> first_;      // see Network: external-indexed CSR offsets
+  std::vector<int> first_;      // see Network: rank-indexed CSR offsets
   std::vector<int> send_chan_;  // reverse half-edge channels
   std::vector<int> order_;      // internal rank -> external id
   std::vector<int> perm_;       // external id -> internal rank (empty = id.)

@@ -390,8 +390,9 @@ SnapshotData BuildSoloSnapshot(
     const std::vector<RoundStats>& stats, const std::vector<uint64_t>& maccs,
     const std::vector<uint64_t>& digests, const std::vector<char>& halted,
     const std::vector<unsigned char>& state, size_t state_stride,
-    const std::vector<int>& order, const std::vector<int>& first,
-    const std::vector<Message>& inbox, int32_t epoch, bool scheduled,
+    const std::vector<int>& order, const std::vector<int>& perm,
+    const std::vector<int>& first, const std::vector<Message>& inbox,
+    int32_t epoch, bool scheduled,
     const int32_t* wake_by_rank) {
   const int n = g.NumNodes();
   SnapshotData snap;
@@ -448,12 +449,13 @@ SnapshotData BuildSoloSnapshot(
   // the solo run (whose engine stopped at its own final round).
   if (!finished) {
     for (int v = 0; v < n; ++v) {
-      const int deg = g.Degree(v);
-      for (int p = 0; p < deg; ++p) {
-        const Message& m = inbox[static_cast<size_t>(first[v] + p)];
+      const int i = perm.empty() ? v : perm[v];
+      for (int c = first[i]; c < first[i + 1]; ++c) {
+        const Message& m = inbox[static_cast<size_t>(c)];
         if (m.engine_stamp == epoch - 1 &&
             (m.size != 0 || m.word0 != 0 || m.word1 != 0)) {
-          inst.deliverable.push_back({v, p, m.word0, m.word1, m.size});
+          inst.deliverable.push_back(
+              {v, c - first[i], m.word0, m.word1, m.size});
         }
       }
     }
@@ -551,7 +553,8 @@ void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
               state.begin() + static_cast<size_t>(i) * state_stride);
   }
   for (const SnapshotMessage& msg : inst.deliverable) {
-    Message& slot = inbox[static_cast<size_t>(first[msg.node] + msg.port)];
+    const int i = perm.empty() ? msg.node : perm[msg.node];
+    Message& slot = inbox[static_cast<size_t>(first[i] + msg.port)];
     slot.word0 = msg.word0;
     slot.word1 = msg.word1;
     slot.size = msg.size;

@@ -201,9 +201,10 @@ namespace internal {
 
 // Shared canonical gather/apply for the two solo CSR engines (Network and
 // ParallelNetwork have member-identical mailbox/worklist/state layouts).
-// `order` maps internal rank -> external node; `first` is the
-// external-indexed CSR offset table; deliverable messages are the inbox
-// slots stamped epoch - 1. `wake_by_rank` is the engine's internal-indexed
+// `order` maps internal rank -> external node and `perm` the reverse
+// (empty = identity); `first` is the rank-indexed CSR offset table, read
+// through `perm` so the canonical image stays external-indexed;
+// deliverable messages are the inbox slots stamped epoch - 1. `wake_by_rank` is the engine's internal-indexed
 // wake plane (nullptr when the engine never armed it); it is consulted
 // only when `scheduled`, and the gather canonicalizes (halted -> 0,
 // unscheduled live -> round).
@@ -214,8 +215,9 @@ SnapshotData BuildSoloSnapshot(
     const std::vector<RoundStats>& stats, const std::vector<uint64_t>& maccs,
     const std::vector<uint64_t>& digests, const std::vector<char>& halted,
     const std::vector<unsigned char>& state, size_t state_stride,
-    const std::vector<int>& order, const std::vector<int>& first,
-    const std::vector<Message>& inbox, int32_t epoch, bool scheduled,
+    const std::vector<int>& order, const std::vector<int>& perm,
+    const std::vector<int>& first, const std::vector<Message>& inbox,
+    int32_t epoch, bool scheduled,
     const int32_t* wake_by_rank);
 
 // Validates a parsed snapshot against the engine about to resume it:
@@ -228,8 +230,9 @@ void ValidateForEngine(const SnapshotData& snap, GraphView g,
 // Restores one solo instance into engine storage: halt flags, worklist
 // (non-halted internal ranks, ascending — the stable-compaction
 // invariant), state plane (external -> internal), counters, digest-chain
-// history, and the deliverable messages stamped `epoch - 1` so the next
-// round's Recv sees exactly them.
+// history, and the deliverable messages stamped `epoch - 1` (placed through
+// `perm` into the rank-indexed channel blocks) so the next round's Recv
+// sees exactly them.
 void ApplySoloSnapshot(const SnapshotData& snap, GraphView g,
                        size_t alg_state_bytes, const std::vector<int>& order,
                        const std::vector<int>& perm,

@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "bench/bench_util.h"
 
@@ -55,6 +59,25 @@ TEST(BenchUtilTest, PowersOfTwoRejectsShiftUbRanges) {
   EXPECT_THROW(bench::PowersOfTwo(10, 31), std::invalid_argument);
   EXPECT_THROW(bench::PowersOfTwo(31, 40), std::invalid_argument);
   EXPECT_THROW(bench::PowersOfTwo(-1, 5), std::invalid_argument);
+}
+
+TEST(BenchUtilTest, HostFieldsStampTheRecord) {
+  bench::JsonWriter json;
+  json.BeginRecord();
+  json.Field("source", "bench_util_test");
+  bench::HostFields(json);
+  const std::string path = ::testing::TempDir() + "bench_util_host.json";
+  std::remove(path.c_str());
+  json.MergeAs("bench_util_test", path);
+  std::ifstream in(path);
+  std::stringstream text;
+  text << in.rdbuf();
+  std::remove(path.c_str());
+  for (const char* key : {"\"host_nproc\": ", "\"host_cpu_model\": ",
+                          "\"host_compiler\": ", "\"host_build_type\": "}) {
+    EXPECT_NE(text.str().find(key), std::string::npos) << key;
+  }
+  EXPECT_EQ(text.str().find("\"host_nproc\": 0"), std::string::npos);
 }
 
 }  // namespace

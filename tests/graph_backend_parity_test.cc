@@ -1,16 +1,17 @@
 // Backend parity: a CompactGraph-backed engine run — in-RAM or mmap-opened
 // from a .cgr file — must be bit-identical to the Graph-backed run on the
-// same input: digest chains, rounds, message totals, and full RoundStats
-// (including the visit/decision observability counters). Pinned across the
-// whole engine matrix (Network / ParallelNetwork / ReferenceNetwork /
-// BatchNetwork / ParallelBatchNetwork, relabel on/off, T in {1, 2, 8}) on
-// trees, forests, star unions, hubbed forests, and multi-component graphs.
+// same input: digest chains, rounds, message totals, RoundStats, and total
+// visits. Pinned across the whole engine matrix (Network / ParallelNetwork /
+// ReferenceNetwork / BatchNetwork / ParallelBatchNetwork, relabel on/off,
+// T in {1, 2, 8}) on trees, forests, star unions, hubbed forests, and
+// multi-component graphs, for a dense and a wake-scheduled algorithm.
 // This is THE determinism contract of the compressed backend: ports name
 // positions in the shared sorted adjacency, so nothing transcript-bearing
 // may depend on which backend served them.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <fstream>
 #include <numeric>
@@ -45,88 +46,179 @@ struct MappedCgr {
   ~MappedCgr() { std::remove(path.c_str()); }
 };
 
+// Base of the parity algorithms: every visit compares the engine's O(1)
+// ctx.degree() against the backend's own Degree, counting disagreements
+// (atomically — ParallelNetwork shards visit concurrently).
+class DegreeCheckedAlgorithm : public local::Algorithm {
+ public:
+  explicit DegreeCheckedAlgorithm(GraphView g) : g_(g) {}
+  int64_t degree_mismatches() const { return mismatches_.load(); }
+
+ protected:
+  int CheckedDegree(const local::NodeContext& ctx) {
+    const int deg = ctx.degree();
+    if (deg != g_.Degree(ctx.node())) {
+      mismatches_.fetch_add(1, std::memory_order_relaxed);
+    }
+    return deg;
+  }
+
+  GraphView g_;
+
+ private:
+  std::atomic<int64_t> mismatches_{0};
+};
+
 // Runs on every engine and every graph: each node folds its received words
 // into per-node state and re-broadcasts for a fixed number of rounds, so
 // every port, channel, and degree lookup the backend serves feeds the
-// digest chain. Halts uniformly at kRounds.
-class EchoAlgorithm : public local::Algorithm {
+// digest chain. Halts uniformly at kRounds. The fold is unsigned: it wraps
+// within a few rounds at hub nodes, and signed overflow would be UB.
+class EchoAlgorithm : public DegreeCheckedAlgorithm {
  public:
   static constexpr int kRounds = 5;
-  explicit EchoAlgorithm(GraphView g) : g_(g) {}
-  size_t StateBytes() const override { return sizeof(int64_t); }
+  using DegreeCheckedAlgorithm::DegreeCheckedAlgorithm;
+  size_t StateBytes() const override { return sizeof(uint64_t); }
   void InitState(int node, void* state) override {
-    *static_cast<int64_t*>(state) = g_.Degree(node) * 1315423911LL + node;
+    *static_cast<uint64_t*>(state) = g_.Degree(node) * 1315423911ULL + node;
   }
   void OnRound(local::NodeContext& ctx) override {
-    int64_t& acc = ctx.State<int64_t>();
-    for (int p = 0; p < ctx.degree(); ++p) {
+    uint64_t& acc = ctx.State<uint64_t>();
+    const int deg = CheckedDegree(ctx);
+    for (int p = 0; p < deg; ++p) {
       const local::Message& msg = ctx.Recv(p);
-      if (msg.present()) acc = acc * 31 + msg.word0 + msg.word1;
+      if (msg.present()) {
+        acc = acc * 31 + static_cast<uint64_t>(msg.word0) +
+              static_cast<uint64_t>(msg.word1);
+      }
     }
     if (ctx.round() >= kRounds) {
       ctx.Halt();
       return;
     }
-    ctx.Broadcast(local::Message::Of(acc, ctx.round() + ctx.degree()));
+    ctx.Broadcast(local::Message::Of(static_cast<int64_t>(acc),
+                                     ctx.round() + deg));
   }
+};
 
- private:
-  GraphView g_;
+// The wake-scheduled variant, which runs the engines' message-wake barrier
+// (the inbox scan over each sleeping receiver's channel block). Even nodes
+// act every round but broadcast only every third round; odd nodes start
+// parked until the halt round and are woken by messages, reply once, and
+// park again. An odd node's visit with an empty inbox before kRounds is a
+// pure no-op, which is what makes its sleeps transcript-invisible.
+class WakeEchoAlgorithm : public DegreeCheckedAlgorithm {
+ public:
+  static constexpr int kRounds = 10;
+  using DegreeCheckedAlgorithm::DegreeCheckedAlgorithm;
+  size_t StateBytes() const override { return sizeof(uint64_t); }
+  bool WakeScheduled() const override { return true; }
+  int InitialWakeRound(int node) const override {
+    return node % 2 == 0 ? 0 : kRounds;
+  }
+  void InitState(int node, void* state) override {
+    *static_cast<uint64_t*>(state) = g_.Degree(node) * 2654435761ULL + node;
+  }
+  void OnRound(local::NodeContext& ctx) override {
+    uint64_t& acc = ctx.State<uint64_t>();
+    const int deg = CheckedDegree(ctx);
+    bool got = false;
+    for (int p = 0; p < deg; ++p) {
+      const local::Message& msg = ctx.Recv(p);
+      if (msg.present()) {
+        acc = acc * 31 + static_cast<uint64_t>(msg.word0) +
+              static_cast<uint64_t>(msg.word1) + static_cast<uint64_t>(p);
+        got = true;
+      }
+    }
+    if (ctx.round() >= kRounds) {
+      ctx.Halt();
+      return;
+    }
+    if (ctx.node() % 2 == 0) {
+      if (ctx.round() % 3 == 0) {
+        ctx.Broadcast(local::Message::Of(static_cast<int64_t>(acc),
+                                         ctx.round() + deg));
+      }
+      return;
+    }
+    if (got) {
+      ctx.Broadcast(local::Message::Of(static_cast<int64_t>(acc),
+                                       -ctx.round()));
+    }
+    ctx.SleepUntil(kRounds);
+  }
 };
 
 struct RunRecord {
   int rounds = 0;
   int64_t messages = 0;
+  int64_t visits = 0;
+  int64_t wakes = 0;
   uint64_t digest = 0;
   std::vector<local::RoundStats> stats;
   bool operator==(const RunRecord& o) const {
     return rounds == o.rounds && messages == o.messages &&
-           digest == o.digest && stats == o.stats;
+           visits == o.visits && wakes == o.wakes && digest == o.digest &&
+           stats == o.stats;
   }
 };
 
-// One engine config applied to one backend.
+int64_t TotalVisits(const std::vector<local::RoundStats>& stats) {
+  int64_t visits = 0;
+  for (const local::RoundStats& s : stats) visits += s.visits;
+  return visits;
+}
+
+template <typename Engine>
+void RecordSolo(const Engine& net, int rounds, RunRecord& rec) {
+  rec.rounds = rounds;
+  rec.messages = net.messages_delivered();
+  rec.digest = net.last_digest();
+  rec.stats = net.round_stats();
+  rec.visits = TotalVisits(rec.stats);
+  rec.wakes = net.wakes();
+}
+
+// One engine config applied to one backend. Every visit's ctx.degree() must
+// equal the backend's Degree, on every engine.
+template <typename Alg>
 RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
                     const std::string& engine, int threads, bool relabel) {
   local::NetworkOptions opts;
   opts.relabel = relabel;
-  EchoAlgorithm alg(g);
-  const int max_rounds = EchoAlgorithm::kRounds + 4;
+  Alg alg(g);
+  Alg alg2(g);
+  const int max_rounds = Alg::kRounds + 4;
   RunRecord rec;
   if (engine == "network") {
     local::Network net(g, ids, opts);
-    rec.rounds = net.Run(alg, max_rounds);
-    rec.messages = net.messages_delivered();
-    rec.digest = net.last_digest();
-    rec.stats = net.round_stats();
+    RecordSolo(net, net.Run(alg, max_rounds), rec);
   } else if (engine == "parallel") {
     local::ParallelNetwork net(g, ids, threads, opts);
-    rec.rounds = net.Run(alg, max_rounds);
-    rec.messages = net.messages_delivered();
-    rec.digest = net.last_digest();
-    rec.stats = net.round_stats();
+    RecordSolo(net, net.Run(alg, max_rounds), rec);
   } else if (engine == "reference") {
     local::ReferenceNetwork net(g, ids, opts);
-    rec.rounds = net.Run(alg, max_rounds);
-    rec.messages = net.messages_delivered();
-    rec.digest = net.last_digest();
-    rec.stats = net.round_stats();
+    RecordSolo(net, net.Run(alg, max_rounds), rec);
   } else {  // batch / pbatch: two instances, fold both transcripts
     const int batch = 2;
     local::BatchNetwork net(g, ids, batch, engine == "pbatch" ? threads : 1,
                             opts);
-    EchoAlgorithm alg2(g);
     std::vector<local::Algorithm*> algs = {&alg, &alg2};
     std::vector<int> rounds = net.Run(algs, max_rounds);
     for (int b = 0; b < batch; ++b) {
       rec.rounds += rounds[b];
       rec.messages += net.messages_delivered(b);
+      rec.wakes += net.wakes(b);
       rec.digest = support::Fnv1a64(&b, sizeof(b), rec.digest) ^
                    net.last_digest(b);
       const auto& stats = net.round_stats(b);
+      rec.visits += TotalVisits(stats);
       rec.stats.insert(rec.stats.end(), stats.begin(), stats.end());
     }
   }
+  EXPECT_EQ(alg.degree_mismatches(), 0) << engine;
+  EXPECT_EQ(alg2.degree_mismatches(), 0) << engine;
   return rec;
 }
 
@@ -167,6 +259,8 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
       {"network", 1},  {"parallel", 1}, {"parallel", 2}, {"parallel", 8},
       {"reference", 1}, {"batch", 1},   {"pbatch", 2},   {"pbatch", 8},
   };
+  // The hubbed forest's hub nodes take CompactGraph's len8_ == 255 escape,
+  // the backend's slowest Degree path; ctx.degree() must agree there too.
   for (const Workload& w : Workloads()) {
     const Graph& g = w.graph;
     const CompactGraph compact = CompactGraph::FromGraph(g);
@@ -174,19 +268,33 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
     ASSERT_EQ(compact.NumNodes(), g.NumNodes()) << w.name;
     ASSERT_EQ(compact.NumEdges(), g.NumEdges()) << w.name;
     const auto ids = DefaultIds(g.NumNodes(), 1000 + g.NumNodes());
-    for (const Config& c : configs) {
-      for (bool relabel : {false, true}) {
-        const RunRecord base = RunConfig(g, ids, c.engine, c.threads, relabel);
-        const RunRecord ram =
-            RunConfig(compact, ids, c.engine, c.threads, relabel);
-        const RunRecord map =
-            RunConfig(mapped.graph, ids, c.engine, c.threads, relabel);
-        const std::string tag = w.name + "/" + c.engine + "/T" +
-                                std::to_string(c.threads) +
-                                (relabel ? "/relabel" : "");
-        EXPECT_EQ(base.digest, ram.digest) << tag;
-        EXPECT_TRUE(base == ram) << tag << " (in-RAM compact diverged)";
-        EXPECT_TRUE(base == map) << tag << " (mmap compact diverged)";
+    for (const bool wake : {false, true}) {
+      const auto run = wake ? RunConfig<WakeEchoAlgorithm>
+                            : RunConfig<EchoAlgorithm>;
+      // Every config must also agree with its engine family's serial CSR
+      // run without relabel, not only with its own CSR run.
+      const RunRecord solo_canon = run(g, ids, "network", 1, false);
+      const RunRecord batch_canon = run(g, ids, "batch", 1, false);
+      if (wake) {
+        EXPECT_GT(solo_canon.wakes, 0) << w.name << " never woke a node";
+      }
+      for (const Config& c : configs) {
+        for (bool relabel : {false, true}) {
+          const RunRecord base = run(g, ids, c.engine, c.threads, relabel);
+          const RunRecord ram = run(compact, ids, c.engine, c.threads, relabel);
+          const RunRecord map =
+              run(mapped.graph, ids, c.engine, c.threads, relabel);
+          const std::string tag = w.name + (wake ? "/wake/" : "/dense/") +
+                                  c.engine + "/T" + std::to_string(c.threads) +
+                                  (relabel ? "/relabel" : "");
+          EXPECT_EQ(base.digest, ram.digest) << tag;
+          EXPECT_TRUE(base == ram) << tag << " (in-RAM compact diverged)";
+          EXPECT_TRUE(base == map) << tag << " (mmap compact diverged)";
+          const bool batch =
+              std::string(c.engine).find("batch") != std::string::npos;
+          EXPECT_TRUE(base == (batch ? batch_canon : solo_canon))
+              << tag << " (diverged from the unrelabeled serial run)";
+        }
       }
     }
   }
@@ -292,6 +400,68 @@ TEST(GraphBackendParityTest, CompactCheckpointResume) {
   auto alg2 = MakeRakeCompressAlgorithm(mapped.graph, k);
   resumed.Run(*alg2, budget);
   EXPECT_EQ(resumed.last_digest(), full.last_digest());
+}
+
+// Checkpoint/resume across relabel, engines and backends: pause a
+// relabeled, compact-backed ParallelNetwork (T = 2) in the middle of a
+// wake-scheduled run, with parked nodes and undelivered messages at the
+// boundary. The snapshot is canonical (external-indexed), so an unrelabeled
+// mmap-backed Network, a ReferenceNetwork and a relabeled Network all resume
+// it and must finish on the uninterrupted CSR run's digest.
+TEST(GraphBackendParityTest, RelabeledCompactCheckpointResume) {
+  const Graph g = HubbedForest(140, 3, 9);
+  const CompactGraph compact = CompactGraph::FromGraph(g);
+  MappedCgr mapped(compact, "ckpt_relabel");
+  const auto ids = DefaultIds(g.NumNodes(), 47);
+  const int max_rounds = WakeEchoAlgorithm::kRounds + 4;
+
+  local::Network full(g, ids);
+  WakeEchoAlgorithm alg_full(g);
+  full.Run(alg_full, max_rounds);
+  ASSERT_TRUE(full.wake_scheduled());
+  ASSERT_GT(full.wakes(), 0);
+
+  local::NetworkOptions relabel;
+  relabel.relabel = true;
+  for (const int pause : {2, 4, 5}) {
+    local::ParallelNetwork recorder(compact, ids, 2, relabel);
+    WakeEchoAlgorithm alg(compact);
+    recorder.RunUntil(alg, max_rounds, pause);
+    ASSERT_TRUE(recorder.paused()) << pause;
+    std::stringstream snap;
+    recorder.Checkpoint(snap);
+    const std::string bytes = snap.str();
+
+    local::Network resumed(mapped.graph, ids);
+    std::istringstream in(bytes);
+    resumed.Resume(in);
+    WakeEchoAlgorithm alg2(mapped.graph);
+    resumed.Run(alg2, max_rounds);
+    EXPECT_EQ(resumed.last_digest(), full.last_digest()) << pause;
+    EXPECT_EQ(resumed.round_stats(), full.round_stats()) << pause;
+
+    local::ReferenceNetwork ref(compact, ids);
+    std::istringstream in_ref(bytes);
+    ref.Resume(in_ref);
+    WakeEchoAlgorithm alg3(compact);
+    ref.Run(alg3, max_rounds);
+    EXPECT_EQ(ref.last_digest(), full.last_digest()) << pause;
+    EXPECT_EQ(ref.round_stats(), full.round_stats()) << pause;
+
+    // And back into a relabeled engine, whose snapshot apply places the
+    // deliverables through the permutation.
+    local::Network relabeled(compact, ids, relabel);
+    std::istringstream in_relabeled(bytes);
+    relabeled.Resume(in_relabeled);
+    WakeEchoAlgorithm alg4(compact);
+    relabeled.Run(alg4, max_rounds);
+    EXPECT_EQ(relabeled.last_digest(), full.last_digest()) << pause;
+
+    EXPECT_EQ(alg.degree_mismatches() + alg2.degree_mismatches() +
+                  alg3.degree_mismatches() + alg4.degree_mismatches(),
+              0)
+        << pause;
+  }
 }
 
 // Snapshot graph_hash binds to the backend's edge numbering: for a graph
