@@ -1,14 +1,18 @@
 // Experiment E13: daemon throughput where batch = concurrent users. Spins
 // up an in-process treelocald server and drives it with a closed loop of
 // client threads (each submits, blocks on the result, submits again) over
-// one resident tree, cycling a small rake-compress k-sweep. Two daemon
-// configurations over the identical workload:
+// one resident tree, cycling six request classes: a rake-compress k-sweep
+// {2,3,4,8}, Thm 12 MIS and Thm 15 (edge-degree+1)-edge coloring. Two
+// daemon configurations over the identical workload:
 //   * serial:    --max-batch 1 — every request is its own engine pass;
 //   * coalesced: --max-batch 16 — the dispatcher sweeps compatible queued
-//     requests into one BatchNetwork pass (canonical-k dedup included).
-// Every response is identity-gated against a solo-engine run of the same
-// (graph, k): digest, engine rounds, and message count must all match, so
-// the throughput number can never come from a wrong answer. The process
+//     requests into one pass: one BatchNetwork pass for rake-compress
+//     (canonical-k dedup included) and for Thm 12; Thm 15 runs solo.
+// Every response is identity-gated against a solo run of its class
+// (RunRakeCompress, SolveNodeProblemOnTree, SolveEdgeProblemBoundedArboricity):
+// digest, engine rounds and message count must all match, and the theorem
+// kinds must report a valid labeling, so the throughput number can never
+// come from a wrong answer. The process
 // exits non-zero on any mismatch, any failed request, or if coalescing
 // never actually batched (max_batch stayed 1) — that is what CI gates on.
 // Records go to BENCH_engine.json as source "bench_serve".
@@ -17,25 +21,29 @@
 // daemon's engine passes: at least one request must then fail, the gate
 // must trip, and the process must exit non-zero. CI runs this as the
 // liveness check for the identity gate itself.
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <map>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "src/core/rake_compress.h"
+#include "src/core/transform_edge.h"
+#include "src/core/transform_node.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
+#include "src/problems/edge_coloring.h"
+#include "src/problems/mis.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
+#include "src/support/digest.h"
 #include "src/support/fault.h"
-#include "src/support/rng.h"
 
 namespace treelocal {
 namespace {
@@ -48,6 +56,68 @@ struct Expected {
   uint64_t digest = 0;
 };
 
+// One request class of the mix: what a client sends, and what the solo run
+// of the same (graph, spec) reports.
+struct RequestClass {
+  serve::SolveSpec spec;
+  Expected want;
+};
+
+uint64_t FoldDigest(const std::vector<local::RoundStats>& stats) {
+  uint64_t d = support::kDigestSeed;
+  for (const auto& rs : stats) {
+    d = support::ChainDigest(d, rs.active_nodes, rs.messages_sent, 0);
+  }
+  return d;
+}
+
+// The identity gate's ground truth: a solo run of every class (the daemon
+// must reproduce these bit for bit, coalesced or not).
+std::vector<RequestClass> BuildMix(const Graph& tree,
+                                   const std::vector<int>& ks,
+                                   int pipeline_k) {
+  const int n = tree.NumNodes();
+  std::vector<int64_t> ids(n);
+  for (int i = 0; i < n; ++i) ids[i] = i;
+  const int64_t id_space = n;  // the registry's max(id) + 1 for 0..n-1
+  std::vector<RequestClass> mix;
+  for (int k : ks) {
+    const RakeCompressResult r = RunRakeCompress(tree, ids, k);
+    RequestClass c;
+    c.spec.kind = serve::SolveKind::kRakeCompress;
+    c.spec.k = k;
+    c.want = {(uint32_t)r.engine_rounds, r.messages, FoldDigest(r.round_stats)};
+    mix.push_back(c);
+  }
+  const MisProblem mis;
+  const Thm12Result r12 =
+      SolveNodeProblemOnTree(mis, tree, ids, id_space, pipeline_k);
+  RequestClass thm12;
+  thm12.spec.kind = serve::SolveKind::kThm12Node;
+  thm12.spec.problem = serve::ProblemId::kMis;
+  thm12.spec.k = pipeline_k;
+  thm12.want = {(uint32_t)r12.rake_compress.engine_rounds, r12.engine_messages,
+                FoldDigest(r12.rake_compress.round_stats)};
+  mix.push_back(thm12);
+  const EdgeColoringProblem ec(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                               std::max(1, tree.MaxDegree()));
+  const Thm15Result r15 = SolveEdgeProblemBoundedArboricity(
+      ec, tree, ids, id_space, /*a=*/1, pipeline_k);
+  RequestClass thm15;
+  thm15.spec.kind = serve::SolveKind::kThm15Edge;
+  thm15.spec.problem = serve::ProblemId::kEdgeColoringEdgeDegreePlusOne;
+  thm15.spec.k = pipeline_k;
+  thm15.spec.a = 1;
+  thm15.want = {(uint32_t)r15.rounds_decomposition, r15.engine_messages,
+                FoldDigest(r15.decomposition.round_stats)};
+  mix.push_back(thm15);
+  if (!r12.valid || !r15.valid) {
+    std::cerr << "bench_serve: solo theorem run invalid\n";
+    std::exit(2);
+  }
+  return mix;
+}
+
 struct ConfigResult {
   double seconds = 0;
   uint64_t failures = 0;
@@ -57,9 +127,8 @@ struct ConfigResult {
 
 // One daemon configuration driven to completion by `clients` closed-loop
 // threads issuing `requests` solves each.
-ConfigResult RunConfig(const Graph& tree, const std::vector<int>& ks,
-                       const std::map<int, Expected>& want, int clients,
-                       int requests, int max_batch,
+ConfigResult RunConfig(const Graph& tree, const std::vector<RequestClass>& mix,
+                       int clients, int requests, int max_batch,
                        support::FaultInjector* fault) {
   serve::Server::Options opt;
   opt.max_batch = max_batch;
@@ -90,17 +159,15 @@ ConfigResult RunConfig(const Graph& tree, const std::vector<int>& ks,
         return;
       }
       for (int i = 0; i < requests; ++i) {
-        serve::SolveSpec spec;
-        spec.kind = serve::SolveKind::kRakeCompress;
-        spec.k = ks[(t + i) % ks.size()];
+        const RequestClass& c = mix[(t + i) % mix.size()];
         serve::SolveResult result;
-        if (!client.SolveAndWait(key, spec, &result, &err)) {
+        if (!client.SolveAndWait(key, c.spec, &result, &err)) {
           ++failures;
           continue;
         }
-        const Expected& e = want.at(spec.k);
+        const Expected& e = c.want;
         if (result.digest != e.digest || result.engine_rounds != e.rounds ||
-            result.messages != e.messages) {
+            result.messages != e.messages || result.valid != 1) {
           ++mismatches;
         }
       }
@@ -157,31 +224,22 @@ int main(int argc, char** argv) {
   }
 
   const Graph tree = UniformRandomTree(n, seed);
-  std::vector<int64_t> ids(n);
-  for (int i = 0; i < n; ++i) ids[i] = i;
   const std::vector<int> ks = {2, 3, 4, 8};
-
-  // The identity gate's ground truth: solo engine runs of every k in the
-  // sweep (the daemon must reproduce these bit for bit, batched or not).
-  std::map<int, Expected> want;
-  for (int k : ks) {
-    RakeCompressResult r = RunRakeCompress(tree, ids, k);
-    uint64_t d = support::kDigestSeed;
-    for (const auto& rs : r.round_stats) {
-      d = support::ChainDigest(d, rs.active_nodes, rs.messages_sent, 0);
-    }
-    want[k] = {(uint32_t)r.engine_rounds, r.messages, d};
-  }
+  const int pipeline_k = 5;  // Thm 12 and Thm 15 (k >= 5a with a = 1)
+  const std::vector<RequestClass> mix = BuildMix(tree, ks, pipeline_k);
 
   std::cout << "Daemon closed-loop throughput: " << clients << " clients x "
-            << requests << " requests, n=" << n << ", k-sweep {2,3,4,8}\n";
+            << requests << " requests, n=" << n
+            << ", rake-compress k-sweep {2,3,4,8} + Thm 12 MIS + Thm 15 "
+               "edge coloring (k="
+            << pipeline_k << ")\n";
 
   if (negative) {
     // Liveness check for the gate: a mid-round engine fault must surface as
     // a failed request and a non-zero exit.
     support::FaultInjector fault = support::FaultInjector::ThrowAtVisit(500);
-    ConfigResult r = RunConfig(tree, ks, want, clients, requests,
-                               /*max_batch=*/16, &fault);
+    ConfigResult r =
+        RunConfig(tree, mix, clients, requests, /*max_batch=*/16, &fault);
     std::cout << "  negative control: failures=" << r.failures
               << " mismatches=" << r.mismatches
               << " fault_fired=" << (fault.fired() ? 1 : 0) << "\n";
@@ -194,10 +252,10 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ConfigResult serial = RunConfig(tree, ks, want, clients, requests,
-                                  /*max_batch=*/1, nullptr);
-  ConfigResult coalesced = RunConfig(tree, ks, want, clients, requests,
-                                     /*max_batch=*/16, nullptr);
+  ConfigResult serial =
+      RunConfig(tree, mix, clients, requests, /*max_batch=*/1, nullptr);
+  ConfigResult coalesced =
+      RunConfig(tree, mix, clients, requests, /*max_batch=*/16, nullptr);
 
   const uint64_t total = (uint64_t)clients * requests;
   const double serial_rps = total / serial.seconds;
@@ -224,6 +282,8 @@ int main(int argc, char** argv) {
   json.Field("clients", clients);
   json.Field("requests_per_client", requests);
   json.Field("ks", ks);
+  json.Field("mix", "rake_compress ks + thm12_mis + thm15_edge_coloring");
+  json.Field("pipeline_k", pipeline_k);
   json.Field("serial_seconds", serial.seconds);
   json.Field("coalesced_seconds", coalesced.seconds);
   json.Field("serial_rps", serial_rps);
@@ -234,6 +294,7 @@ int main(int argc, char** argv) {
   json.Field("serial_batches", (int64_t)serial.stats.batches);
   json.Field("coalesced_batches", (int64_t)coalesced.stats.batches);
   json.Field("coalesced_max_batch", (int64_t)coalesced.stats.max_batch);
+  bench::HostFields(json);
   json.MergeAs("bench_serve", "BENCH_engine.json");
   std::cout << "  wrote BENCH_engine.json\n";
 

@@ -1,6 +1,5 @@
 #include "src/algos/linial.h"
 
-#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <vector>
@@ -54,19 +53,22 @@ int64_t EvalDigits(const int64_t* digits, int d, int64_t q, int64_t x) {
   return acc;
 }
 
+}  // namespace
+
+namespace internal {
+
 // One Linial set-system membership step for a node: the smallest x in
 // [0, q) where no neighbor's polynomial agrees with ours, returned as the
-// new color chosen_x * q + eval(chosen_x). Semantics are exactly the old
-// per-(x, neighbor) EvalPoly scan; the implementation is restructured:
+// new color x * q + eval(x). The scan goes upward from x = 0 and stops at
+// the first free point, which is almost always 0 or 1:
 //   * fast probe at x = 0 — eval(c, 0) is just c % q, and with distinct
 //     neighbor colors x = 0 is usually free, so the common case is one
 //     division per neighbor and no digit extraction at all;
-//   * otherwise, word-wide blocked-point masks: each neighbor's agreeing
-//     points are set bits in a chunked 64-bit mask over x (a nonzero
-//     difference polynomial of degree <= d has at most d roots, so each
-//     neighbor's scan stops after d hits), and the chosen x is the mask's
-//     first zero via countr_one — the same first-free-point answer without
-//     re-walking all neighbors per candidate x.
+//   * otherwise every color's digits (its polynomial's coefficients) are
+//     extracted once, and each x >= 1 costs one evaluation per neighbor
+//     until some neighbor agrees with us there. A nonzero difference
+//     polynomial of degree <= d has at most d roots, so with q > Delta*d
+//     a free x <= Delta*d exists.
 int64_t LinialChooseColor(int64_t color, const LinialStep& step,
                           const int64_t* nbr, int nbr_count) {
   const int64_t q = step.q;
@@ -76,47 +78,40 @@ int64_t LinialChooseColor(int64_t color, const LinialStep& step,
   for (int i = 0; i < nbr_count && x0_free; ++i) {
     x0_free = nbr[i] % q != mine0;
   }
-  if (x0_free) return mine0;  // chosen_x = 0: new color = 0 * q + eval(0)
+  if (x0_free) return mine0;  // x = 0: new color = 0 * q + eval(0)
 
-  int64_t mine_digits[70], nbr_digits[70];
-  ExtractDigits(color, q, d, mine_digits);
-  thread_local std::vector<int64_t> mine_eval;
-  mine_eval.resize(static_cast<size_t>(q));
-  for (int64_t x = 0; x < q; ++x) {
-    mine_eval[x] = EvalDigits(mine_digits, d, q, x);
-  }
-  const int nwords = static_cast<int>((q + 63) / 64);
-  thread_local std::vector<uint64_t> blocked;
-  blocked.assign(nwords, 0ull);
+  // A duplicate color agrees everywhere, so no point can be free.
   for (int i = 0; i < nbr_count; ++i) {
     if (nbr[i] == color) {
-      // A duplicate color agrees everywhere — every point is blocked, as
-      // the per-x scan would have concluded.
       throw std::logic_error("Linial step found no free point");
     }
-    ExtractDigits(nbr[i], q, d, nbr_digits);
-    int hits = 0;
-    for (int64_t x = 0; x < q; ++x) {
-      if (EvalDigits(nbr_digits, d, q, x) == mine_eval[x]) {
-        blocked[x >> 6] |= 1ull << (x & 63);
-        if (++hits == d) break;  // <= d roots: nothing further to find
-      }
-    }
   }
-  for (int w = 0; w < nwords; ++w) {
-    uint64_t m = blocked[w];
-    if (w == nwords - 1 && (q & 63) != 0) {
-      m |= ~0ull << (q & 63);  // pad past q so countr_one cannot overshoot
+  const int width = d + 1;
+  int64_t mine_digits[70];
+  ExtractDigits(color, q, d, mine_digits);
+  // thread_local: called from OnRound, which runs concurrently across
+  // ParallelNetwork shards.
+  thread_local std::vector<int64_t> digits;
+  digits.resize(static_cast<size_t>(nbr_count) * width);
+  for (int i = 0; i < nbr_count; ++i) {
+    ExtractDigits(nbr[i], q, d, &digits[static_cast<size_t>(i) * width]);
+  }
+  for (int64_t x = 1; x < q; ++x) {
+    const int64_t mine = EvalDigits(mine_digits, d, q, x);
+    bool free = true;
+    for (int i = 0; i < nbr_count && free; ++i) {
+      free = EvalDigits(&digits[static_cast<size_t>(i) * width], d, q, x) !=
+             mine;
     }
-    const int z = std::countr_one(m);
-    if (z < 64) {
-      const int64_t x = static_cast<int64_t>(w) * 64 + z;
-      return x * q + mine_eval[x];
-    }
+    if (free) return x * q + mine;
   }
   // Impossible when q > Delta*d: at most Delta*d points are blocked.
   throw std::logic_error("Linial step found no free point");
 }
+
+}  // namespace internal
+
+namespace {
 
 // Per-node state, engine-managed: just the current color.
 struct LinialState {
@@ -166,8 +161,8 @@ class InducedLinialAlgorithm : public local::Algorithm {
         const local::Message& msg = ctx.Recv(ports_->port[i]);
         if (msg.present()) nbr.push_back(msg.word0);
       }
-      st.color = LinialChooseColor(st.color, step, nbr.data(),
-                                   static_cast<int>(nbr.size()));
+      st.color = internal::LinialChooseColor(
+          st.color, step, nbr.data(), static_cast<int>(nbr.size()));
     }
     if (r == static_cast<int>(schedule_.steps.size())) {
       ctx.Halt();
@@ -213,8 +208,8 @@ class LinialAlgorithm : public local::Algorithm {
         const local::Message& msg = ctx.Recv(p);
         if (msg.present()) nbr.push_back(msg.word0);
       }
-      st.color = LinialChooseColor(st.color, step, nbr.data(),
-                                   static_cast<int>(nbr.size()));
+      st.color = internal::LinialChooseColor(
+          st.color, step, nbr.data(), static_cast<int>(nbr.size()));
     }
     if (r == static_cast<int>(schedule_.steps.size())) {
       ctx.Halt();

@@ -80,6 +80,18 @@ LinialResult RunLinialInduced(local::ParallelNetwork& net,
                               const std::vector<char>& participant,
                               int64_t id_space);
 
+namespace internal {
+
+// One Linial step at a node colored `color` whose neighbors hold
+// nbr[0..nbr_count): the new color x * q + P_color(x) for the smallest x in
+// [0, q) where no neighbor's polynomial agrees with P_color. Throws
+// std::logic_error when every point is blocked, which needs a neighbor
+// sharing `color` or nbr_count * d >= q. Exposed for the oracle tests.
+int64_t LinialChooseColor(int64_t color, const LinialStep& step,
+                          const int64_t* nbr, int nbr_count);
+
+}  // namespace internal
+
 }  // namespace treelocal
 
 #endif  // TREELOCAL_ALGOS_LINIAL_H_

@@ -234,26 +234,32 @@ std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
   std::vector<RakeCompressResult> results(ks.size());
   if (ks.empty() || tree.NumNodes() == 0) return results;
 
-  // Group by canonical parameter (see RakeCompressCanonicalK); the scan is
-  // O(|ks|^2) on a handful of ints.
-  std::vector<int> unique_ks;
-  std::vector<size_t> slot(ks.size());
-  for (size_t i = 0; i < ks.size(); ++i) {
-    const int canon = RakeCompressCanonicalK(ks[i], tree.MaxDegree());
-    size_t j = 0;
-    while (j < unique_ks.size() && unique_ks[j] != canon) ++j;
-    if (j == unique_ks.size()) unique_ks.push_back(canon);
-    slot[i] = j;
-  }
-
   // The engine is sized to the deduped sweep — this is where the memory
   // (and traffic) saving comes from, so dedup must precede construction.
+  const CanonicalKGroups groups = GroupByCanonicalK(ks, tree.MaxDegree());
   local::ParallelBatchNetwork net(
-      tree, ids, static_cast<int>(unique_ks.size()), num_threads);
+      tree, ids, static_cast<int>(groups.unique.size()), num_threads);
   std::vector<RakeCompressResult> unique_results =
-      RunRakeCompressBatch(net, unique_ks);
-  for (size_t i = 0; i < ks.size(); ++i) results[i] = unique_results[slot[i]];
+      RunRakeCompressBatch(net, groups.unique);
+  for (size_t i = 0; i < ks.size(); ++i) {
+    results[i] = unique_results[groups.slot[i]];
+  }
   return results;
+}
+
+CanonicalKGroups GroupByCanonicalK(const std::vector<int>& ks,
+                                   int max_degree) {
+  // The scan is O(|ks|^2) on a handful of ints.
+  CanonicalKGroups groups;
+  groups.slot.resize(ks.size());
+  for (size_t i = 0; i < ks.size(); ++i) {
+    const int canon = RakeCompressCanonicalK(ks[i], max_degree);
+    size_t j = 0;
+    while (j < groups.unique.size() && groups.unique[j] != canon) ++j;
+    if (j == groups.unique.size()) groups.unique.push_back(canon);
+    groups.slot[i] = j;
+  }
+  return groups;
 }
 
 RakeCompressResult RunRakeCompressReference(GraphView tree,

@@ -96,6 +96,16 @@ std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
 // are equal (min(k, max_degree), floored at the smallest valid k = 2).
 int RakeCompressCanonicalK(int k, int max_degree);
 
+// ks grouped by that rule: `unique` holds each distinct canonical form in
+// first-seen order, and ks[i]'s canonical form is unique[slot[i]]. The one
+// grouping every k-deduplicating caller shares.
+struct CanonicalKGroups {
+  std::vector<int> unique;
+  std::vector<size_t> slot;
+};
+CanonicalKGroups GroupByCanonicalK(const std::vector<int>& ks,
+                                   int max_degree);
+
 // Convenience form constructing the reference engine internally.
 RakeCompressResult RunRakeCompressReference(GraphView tree,
                                             const std::vector<int64_t>& ids,

@@ -120,27 +120,33 @@ std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
   std::vector<Thm12Result> results(ks.size());
   if (ks.empty()) return results;
 
-  // Phase 1 for all k at once: one batched engine pass over the shared
-  // tree, with shared-transcript dedup — sweep entries at or above the
-  // tree's max degree provably share one transcript, so the engine runs
-  // (and allocates) only the distinct instances and the results fan back
-  // out bit-identically (an empty tree degenerates inside, which still
-  // validates every k, matching the solo path). num_threads > 1 shards the
-  // deduped instance slices (ParallelBatchNetwork mode).
+  // Phases 1-3 read k only through RakeCompressCanonicalK: parameters at
+  // or above the tree's max degree provably share one transcript. So every
+  // phase runs once per canonical k and the results fan back out
+  // bit-identically, with k set per slot.
+  const CanonicalKGroups groups = GroupByCanonicalK(ks, tree.MaxDegree());
+  std::vector<Thm12Result> unique_results(groups.unique.size());
   {
+    // Phase 1 for all canonical k at once: one batched engine pass over the
+    // shared tree (an empty tree degenerates inside, which still validates
+    // every k, matching the solo path). num_threads > 1 shards the instance
+    // slices (ParallelBatchNetwork mode).
     std::vector<RakeCompressResult> decompositions =
-        RunRakeCompressBatchDeduped(tree, ids, ks, num_threads);
-    for (size_t b = 0; b < ks.size(); ++b) {
-      results[b].rake_compress = std::move(decompositions[b]);
+        RunRakeCompressBatchDeduped(tree, ids, groups.unique, num_threads);
+    for (size_t u = 0; u < groups.unique.size(); ++u) {
+      unique_results[u].rake_compress = std::move(decompositions[u]);
     }
   }
   // One shared engine for every instance's phases 2-3 (mailboxes and state
   // plane are reused across the whole sweep).
   local::Network net(tree, ids);
+  for (Thm12Result& r : unique_results) {
+    r.labeling = HalfEdgeLabeling(tree);
+    FinishNodeProblem(problem, tree, ids, id_space, net, r);
+  }
   for (size_t b = 0; b < ks.size(); ++b) {
+    results[b] = unique_results[groups.slot[b]];
     results[b].k = ks[b];
-    results[b].labeling = HalfEdgeLabeling(tree);
-    FinishNodeProblem(problem, tree, ids, id_space, net, results[b]);
   }
   return results;
 }

@@ -65,7 +65,8 @@ Thm12Result SolveNodeProblemOnTreeParallel(const NodeProblem& problem,
 // Batched k-sweep: solves the same problem instance for every k in `ks`,
 // running the engine-bound decomposition phase (phase 1) of all instances
 // as one BatchNetwork pass over the shared topology; phases 2-3 are
-// completed per instance. results[b] is identical to
+// completed once per distinct RakeCompressCanonicalK and copied to the
+// slots that share it. results[b] is identical to
 // SolveNodeProblemOnTree(problem, tree, ids, id_space, ks[b]). This is the
 // form the k-ablation sweep and multi-query serving use: per-round engine
 // dispatch is paid once for the whole sweep instead of once per k.

@@ -66,10 +66,10 @@ Graph Graph::FromEdges(int n, std::vector<std::pair<int, int>> edges) {
   }
   // Sort each adjacency list by neighbor id (keeping inc_ parallel) so
   // EdgeBetween can binary-search and duplicate edges are detectable.
+  std::vector<std::pair<int, int>> tmp;  // reused across nodes
   for (int v = 0; v < n; ++v) {
     int lo = g.offset_[v], hi = g.offset_[v + 1];
-    std::vector<std::pair<int, int>> tmp;
-    tmp.reserve(hi - lo);
+    tmp.clear();
     for (int i = lo; i < hi; ++i) tmp.emplace_back(g.nbr_[i], g.inc_[i]);
     std::sort(tmp.begin(), tmp.end());
     for (int i = lo; i < hi; ++i) {

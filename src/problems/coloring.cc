@@ -36,7 +36,10 @@ bool ColoringProblem::EdgeConfigOk(std::span<const Label> labels,
 
 void ColoringProblem::SequentialAssign(const Graph& g, int v,
                                        HalfEdgeLabeling& h) const {
-  std::vector<int64_t> forbidden;
+  // Reused per thread: the class sweeps call this on ParallelNetwork
+  // shards.
+  thread_local std::vector<int64_t> forbidden;
+  forbidden.clear();
   for (int e : g.IncidentEdges(v)) {
     int u = g.OtherEndpoint(e, v);
     Label l = h.Get(e, u);

@@ -27,9 +27,9 @@ bool Problem::ValidateGraph(const Graph& g, const HalfEdgeLabeling& h,
                   LabelToString(a) + "," + LabelToString(b) + "}");
     }
   }
+  std::vector<Label> labels;  // reused across nodes
   for (int v = 0; v < g.NumNodes(); ++v) {
-    std::vector<Label> labels;
-    labels.reserve(g.Degree(v));
+    labels.clear();
     for (int e : g.IncidentEdges(v)) labels.push_back(h.Get(e, v));
     if (!NodeConfigOkAt(g, v, labels)) {
       std::ostringstream os;
@@ -55,7 +55,8 @@ bool Problem::ValidateSemiGraph(const SemiGraph& s, const HalfEdgeLabeling& h,
   const Graph& g = s.host();
   for (int e = 0; e < g.NumEdges(); ++e) {
     if (!s.ContainsEdge(e)) continue;
-    std::vector<Label> cfg;
+    Label cfg[2];
+    size_t present = 0;
     for (int slot = 0; slot < 2; ++slot) {
       if (!s.HalfPresent(e, slot)) continue;
       Label l = h.GetSlot(e, slot);
@@ -63,15 +64,16 @@ bool Problem::ValidateSemiGraph(const SemiGraph& s, const HalfEdgeLabeling& h,
         return fail("semi-edge " + std::to_string(e) +
                     " has unassigned present half-edge");
       }
-      cfg.push_back(l);
+      cfg[present++] = l;
     }
-    if (!EdgeConfigOk(cfg, s.Rank(e))) {
+    if (!EdgeConfigOk({cfg, present}, s.Rank(e))) {
       return fail("semi-edge " + std::to_string(e) + " config invalid");
     }
   }
+  std::vector<Label> labels;  // reused across nodes
   for (int v = 0; v < g.NumNodes(); ++v) {
     if (!s.ContainsNode(v)) continue;
-    std::vector<Label> labels;
+    labels.clear();
     for (int e : g.IncidentEdges(v)) {
       if (s.ContainsEdge(e) && s.HalfPresent(e, g.EndpointSlot(e, v))) {
         Label l = h.Get(e, v);

@@ -452,11 +452,17 @@ void Dispatcher::RunThm12BatchPass(const std::vector<TicketPtr>& members) {
   try {
     std::vector<Thm12Result> results = SolveNodeProblemOnTreeBatch(
         *problem, rg.graph, rg.ids, rg.id_space, ks, options_.engine_threads);
+    // The batch solve ran each canonical k once; count that work once.
+    const CanonicalKGroups groups = GroupByCanonicalK(ks, rg.max_degree);
+    std::vector<char> counted(groups.unique.size(), 0);
     uint64_t pass_rounds = 0, pass_messages = 0;
     for (size_t i = 0; i < members.size(); ++i) {
       const Thm12Result& r = results[i];
-      pass_rounds += (uint64_t)r.rounds_total;
-      pass_messages += (uint64_t)r.engine_messages;
+      if (!counted[groups.slot[i]]) {
+        counted[groups.slot[i]] = 1;
+        pass_rounds += (uint64_t)r.rounds_total;
+        pass_messages += (uint64_t)r.engine_messages;
+      }
       if (members[i]->cancel.load()) {
         Finish(members[i], TicketState::kCancelled, {}, "");
         continue;
@@ -515,17 +521,17 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
       res.digest = FoldDigest(r.decomposition.round_stats);
       res.iterations = (uint32_t)r.decomposition.num_layers;
     }
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      engine_rounds_ += res.engine_rounds;
+      engine_messages_ += (uint64_t)res.messages;
+    }
     if (spec.max_rounds > 0 &&
         res.engine_rounds > (uint32_t)spec.max_rounds) {
       Finish(t, TicketState::kFailed, {},
              "round budget exceeded (" + std::to_string(spec.max_rounds) +
                  " rounds)");
       return;
-    }
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      engine_rounds_ += res.engine_rounds;
-      engine_messages_ += (uint64_t)res.messages;
     }
     Finish(t, TicketState::kDone, res, "");
   } catch (const std::exception& e) {

@@ -32,7 +32,8 @@ namespace treelocal::serve {
 //    pin.
 //  - kThm12Node on the same graph and problem coalesces via
 //    SolveNodeProblemOnTreeBatch (the decomposition phase of all k's is one
-//    batch pass).
+//    batch pass, and the base and gather phases run once per distinct
+//    canonical k).
 //  - kThm15Edge and kDecomposition run solo.
 //
 // The coalesced rake-compress pass is driven in RunUntil slices, so

@@ -139,6 +139,9 @@ struct ServerStats {
   uint64_t queue_depth = 0;
   uint64_t max_queue_depth = 0;
   uint64_t inflight = 0;
+  // Rounds and messages of the engine runs the dispatcher completed, over
+  // budget or not: a rake-compress instance or a Thm 12 canonical k shared
+  // by several requests counts once.
   uint64_t engine_rounds = 0;
   uint64_t engine_messages = 0;
   uint64_t protocol_errors = 0;

@@ -170,6 +170,130 @@ TEST(EdgeColoringConfigTest, EdgeConfigs) {
   EXPECT_TRUE(p.EdgeConfigOk(L{}, 0));
 }
 
+TEST(EdgeColoringConfigTest, NodeConfigRejectionsPinned) {
+  using L = std::vector<Label>;
+  auto pair = [](int64_t a, int64_t b) {
+    return EdgeColoringProblem::Pack(a, b);
+  };
+  const Label kD = EdgeColoringProblem::kD;
+  EdgeColoringProblem deg(EdgeColoringProblem::Mode::kEdgeDegreePlusOne, 3);
+  EdgeColoringProblem two(EdgeColoringProblem::Mode::kTwoDeltaMinusOne, 3);
+  for (const EdgeColoringProblem* p : {&deg, &two}) {
+    // A duplicate color part, adjacent or not, with or without D's between.
+    EXPECT_FALSE(p->NodeConfigOk(L{pair(1, 2), pair(2, 2)}));
+    EXPECT_FALSE(p->NodeConfigOk(L{pair(1, 3), kD, pair(1, 1), pair(2, 3)}));
+    // A non-pair label other than D.
+    EXPECT_FALSE(p->NodeConfigOk(L{pair(1, 1), -2}));
+    EXPECT_FALSE(p->NodeConfigOk(L{kD, int64_t{-1} << 40}));
+    // Zero parts.
+    EXPECT_FALSE(p->NodeConfigOk(L{pair(0, 1)}));
+    EXPECT_FALSE(p->NodeConfigOk(L{pair(1, 0)}));
+    EXPECT_TRUE(p->NodeConfigOk(L{pair(1, 3), kD, pair(1, 1), pair(2, 2)}));
+  }
+  // A degree part > p (p counts pairs, not D's) rejects only in the
+  // edge-degree mode.
+  EXPECT_FALSE(deg.NodeConfigOk(L{pair(2, 1), kD}));
+  EXPECT_FALSE(deg.NodeConfigOk(L{pair(1, 1), pair(3, 2)}));
+  EXPECT_TRUE(two.NodeConfigOk(L{pair(2, 1), kD}));
+  // A color part > 2*Delta-1 rejects only in the (2Delta-1) mode.
+  EXPECT_FALSE(two.NodeConfigOk(L{pair(1, 6)}));
+  EXPECT_TRUE(two.NodeConfigOk(L{pair(1, 5)}));
+  EXPECT_TRUE(deg.NodeConfigOk(L{pair(1, 6)}));
+}
+
+// Each node-level rejection, reached through ValidateGraph on a labeling
+// whose edge configurations are all legal, and the raw-color oracle.
+TEST(EdgeColoringTest, ValidatorRejectionsPinned) {
+  const Graph g = Star(4);  // center 0, leaves 1..3, Delta = 3
+  auto pair = [](int64_t a, int64_t b) {
+    return EdgeColoringProblem::Pack(a, b);
+  };
+  auto colored = [&](int64_t b1, int64_t b2, int64_t b3) {
+    HalfEdgeLabeling h(g);
+    const int64_t b[3] = {b1, b2, b3};
+    for (int leaf = 1; leaf <= 3; ++leaf) {
+      const int e = g.EdgeBetween(0, leaf);
+      h.Set(e, 0, pair(1, b[leaf - 1]));
+      h.Set(e, leaf, pair(1, b[leaf - 1]));
+    }
+    return h;
+  };
+  EdgeColoringProblem deg(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                          g.MaxDegree());
+  EdgeColoringProblem two(EdgeColoringProblem::Mode::kTwoDeltaMinusOne,
+                          g.MaxDegree());
+  std::string why;
+  EXPECT_TRUE(two.ValidateGraph(g, colored(1, 2, 3), &why)) << why;
+  EXPECT_TRUE(why.empty());
+
+  // Duplicate color at the center.
+  EXPECT_FALSE(two.ValidateGraph(g, colored(1, 1, 3), &why));
+  EXPECT_EQ(why.rfind("node 0 config invalid: {", 0), 0u) << why;
+
+  // Color 6 > 2*Delta-1 = 5 at every endpoint; the center is checked first.
+  EXPECT_FALSE(two.ValidateGraph(g, colored(1, 2, 6), &why));
+  EXPECT_EQ(why.rfind("node 0 config invalid", 0), 0u) << why;
+
+  // Degree part 2 > p = 1 at leaf 2; every edge still satisfies
+  // a1 + a2 >= b + 1, and the center's parts are all <= 3.
+  HalfEdgeLabeling h = colored(1, 2, 3);
+  h.Set(g.EdgeBetween(0, 2), 0, pair(3, 2));
+  h.Set(g.EdgeBetween(0, 2), 2, pair(2, 2));
+  h.Set(g.EdgeBetween(0, 3), 0, pair(3, 3));
+  EXPECT_TRUE(two.ValidateGraph(g, h, &why)) << why;
+  EXPECT_FALSE(deg.ValidateGraph(g, h, &why));
+  EXPECT_EQ(why, "node 2 config invalid: {(2,2)}");
+
+  // A non-pair label is caught at its edge first.
+  h = colored(1, 2, 3);
+  h.Set(g.EdgeBetween(0, 3), 3, -2);
+  EXPECT_FALSE(two.ValidateGraph(g, h, &why));
+  EXPECT_EQ(why.rfind("edge ", 0), 0u) << why;
+
+  // The raw-color oracle.
+  std::vector<int64_t> colors(g.NumEdges());
+  for (int leaf = 1; leaf <= 3; ++leaf) {
+    colors[g.EdgeBetween(0, leaf)] = leaf;
+  }
+  EXPECT_TRUE(two.IsProperEdgeColoring(g, colors));
+  EXPECT_TRUE(deg.IsProperEdgeColoring(g, colors));
+  colors[g.EdgeBetween(0, 3)] = 1;  // duplicate at the center
+  EXPECT_FALSE(two.IsProperEdgeColoring(g, colors));
+  EXPECT_FALSE(deg.IsProperEdgeColoring(g, colors));
+  colors[g.EdgeBetween(0, 3)] = 6;  // > 2*Delta-1 and > edge-degree+1
+  EXPECT_FALSE(two.IsProperEdgeColoring(g, colors));
+  EXPECT_FALSE(deg.IsProperEdgeColoring(g, colors));
+  colors[g.EdgeBetween(0, 3)] = 0;  // uncolored
+  EXPECT_FALSE(two.IsProperEdgeColoring(g, colors));
+  // A duplicate on a longer path: edges 0-1 and 2-3 may share, 1-2 not.
+  const Graph path = Path(4);
+  std::vector<int64_t> pc(path.NumEdges());
+  pc[path.EdgeBetween(0, 1)] = 1;
+  pc[path.EdgeBetween(1, 2)] = 2;
+  pc[path.EdgeBetween(2, 3)] = 1;
+  EXPECT_TRUE(deg.IsProperEdgeColoring(path, pc));
+  pc[path.EdgeBetween(1, 2)] = 1;
+  EXPECT_FALSE(deg.IsProperEdgeColoring(path, pc));
+}
+
+// The node-rejection message lists the node's labels in port order.
+TEST(ColoringTest, ValidatorNodeMessagePinned) {
+  const Graph g = Star(4);
+  ColoringProblem problem(ColoringProblem::Mode::kDeltaPlusOne,
+                          g.MaxDegree());
+  HalfEdgeLabeling h(g);
+  for (int leaf = 1; leaf <= 3; ++leaf) {
+    const int e = g.EdgeBetween(0, leaf);
+    h.Set(e, 0, leaf == 2 ? 2 : 1);
+    h.Set(e, leaf, 3);
+  }
+  std::string why;
+  EXPECT_FALSE(problem.ValidateGraph(g, h, &why));
+  EXPECT_EQ(why, "node 0 config invalid: {1,2,1}");
+  h.Set(g.EdgeBetween(0, 2), 0, 1);
+  EXPECT_TRUE(problem.ValidateGraph(g, h, &why)) << why;
+}
+
 TEST(EdgeColoringTest, Lemma16ProcessOnTree) {
   Graph g = UniformRandomTree(300, 3);
   EdgeColoringProblem problem(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,

@@ -240,5 +240,16 @@ TEST(RakeCompressDedup, ValidatesEveryKEvenWhenDeduped) {
   EXPECT_TRUE(RunRakeCompressBatchDeduped(g, ids, {}).empty());
 }
 
+TEST(RakeCompressDedup, GroupByCanonicalKFirstSeenOrder) {
+  // Delta = 4: every k >= 4 shares the canonical form 4.
+  const CanonicalKGroups groups =
+      GroupByCanonicalK({5, 2, 4, 3, 100, 2, 1}, 4);
+  EXPECT_EQ(groups.unique, (std::vector<int>{4, 2, 3, 1}));
+  EXPECT_EQ(groups.slot, (std::vector<size_t>{0, 1, 0, 2, 0, 1, 3}));
+  // Low-degree forests floor the canon at 2.
+  EXPECT_EQ(GroupByCanonicalK({2, 3, 9}, 1).unique, std::vector<int>{2});
+  EXPECT_TRUE(GroupByCanonicalK({}, 4).unique.empty());
+}
+
 }  // namespace
 }  // namespace treelocal

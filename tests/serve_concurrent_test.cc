@@ -18,11 +18,13 @@
 
 #include "src/core/decomposition.h"
 #include "src/core/rake_compress.h"
+#include "src/core/transform_edge.h"
 #include "src/core/transform_node.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
 #include "src/problems/coloring.h"
+#include "src/problems/edge_coloring.h"
 #include "src/serve/client.h"
 #include "src/serve/protocol.h"
 #include "src/serve/server.h"
@@ -296,6 +298,147 @@ TEST_F(ServeConcurrentTest, CancelledMemberLeavesBatchMatesUntouched) {
       c->Fetch(dead_ticket, /*block=*/false, &state, &result, &why, &error))
       << error;
   EXPECT_EQ(state, TicketState::kCancelled);
+  server_->Stop();
+}
+
+// Identical kThm15Edge requests queued together still run one solo pass
+// each: each keeps its own round budget, a member cancelled while queued
+// ends kCancelled, and the survivor gets the solo engine's answer.
+TEST_F(ServeConcurrentTest, IdenticalSoloRequestsRunOneEach) {
+  StartServer({});
+  const Graph big = UniformRandomTree(200000, 19);
+  const Graph small = UniformRandomTree(301, 29);
+  const int k = 5;
+  EdgeColoringProblem problem(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                              small.MaxDegree());
+  const Thm15Result solo = SolveEdgeProblemBoundedArboricity(
+      problem, small, IotaIds(small.NumNodes()), small.NumNodes(), 1, k);
+  ASSERT_TRUE(solo.valid) << solo.why;
+  ASSERT_GT(solo.rounds_decomposition, 1);
+
+  auto c = Connect();
+  const uint64_t big_key = Register(*c, big);
+  const uint64_t small_key = Register(*c, small);
+
+  SolveSpec head;
+  head.k = 2;
+  uint64_t head_ticket = 0;
+  std::string error;
+  ASSERT_TRUE(c->Solve(big_key, head, &head_ticket, &error)) << error;
+
+  SolveSpec spec;
+  spec.kind = SolveKind::kThm15Edge;
+  spec.problem = ProblemId::kEdgeColoringEdgeDegreePlusOne;
+  spec.k = k;
+  spec.a = 1;
+  uint64_t tight = 0, dead = 0, keep = 0;
+  spec.max_rounds = 1;
+  ASSERT_TRUE(c->Solve(small_key, spec, &tight, &error)) << error;
+  spec.max_rounds = 0;
+  ASSERT_TRUE(c->Solve(small_key, spec, &dead, &error)) << error;
+  ASSERT_TRUE(c->Solve(small_key, spec, &keep, &error)) << error;
+
+  TicketState state;
+  ASSERT_TRUE(c->Cancel(dead, &state, &error)) << error;
+  // Queued behind the big head, so the cancel completes at once.
+  EXPECT_EQ(state, TicketState::kCancelled);
+
+  SolveResult result;
+  std::string why;
+  ASSERT_TRUE(c->Fetch(tight, /*block=*/true, &state, &result, &why, &error))
+      << error;
+  EXPECT_EQ(state, TicketState::kFailed);
+  EXPECT_NE(why.find("round"), std::string::npos) << why;
+  ASSERT_TRUE(c->Fetch(keep, /*block=*/true, &state, &result, &why, &error))
+      << error;
+  ASSERT_EQ(state, TicketState::kDone) << why;
+  EXPECT_EQ(result.kind, SolveKind::kThm15Edge);
+  EXPECT_EQ(result.valid, 1);
+  EXPECT_EQ(result.engine_rounds, (uint32_t)solo.rounds_decomposition);
+  EXPECT_EQ(result.total_rounds, (uint32_t)solo.rounds_total);
+  EXPECT_EQ(result.messages, solo.engine_messages);
+  EXPECT_EQ(result.digest, FoldDigest(solo.decomposition.round_stats));
+  ASSERT_TRUE(c->Fetch(dead, /*block=*/false, &state, &result, &why, &error))
+      << error;
+  EXPECT_EQ(state, TicketState::kCancelled);
+
+  // The head's pass, then one solo pass per surviving request; the run
+  // that broke its budget still counts as engine work.
+  ServerStats stats;
+  ASSERT_TRUE(c->Stats(&stats, &error)) << error;
+  EXPECT_EQ(stats.batches, 3u);
+  EXPECT_EQ(stats.batched_requests, 3u);
+  EXPECT_EQ(stats.max_batch, 1u);
+  EXPECT_EQ(stats.completed, 2u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  const Expected head_run = ExpectRake(big, head.k);
+  EXPECT_EQ(stats.engine_rounds,
+            head_run.engine_rounds + 2 * (uint64_t)solo.rounds_decomposition);
+  EXPECT_EQ(stats.engine_messages,
+            (uint64_t)(head_run.messages + 2 * solo.engine_messages));
+  server_->Stop();
+}
+
+// A Thm 12 pass runs each canonical k once (k >= Delta share one), and the
+// engine counters count that work once, not once per member.
+TEST_F(ServeConcurrentTest, Thm12PassCountsEachCanonicalKOnce) {
+  StartServer({});
+  const Graph big = UniformRandomTree(200000, 43);
+  const Graph small = UniformRandomTree(301, 47);
+  ASSERT_GT(small.MaxDegree(), 3);
+  ASSERT_LT(small.MaxDegree(), 64);
+  auto c = Connect();
+  const uint64_t big_key = Register(*c, big);
+  const uint64_t small_key = Register(*c, small);
+
+  SolveSpec head;
+  head.k = 2;
+  uint64_t head_ticket = 0;
+  std::string error;
+  ASSERT_TRUE(c->Solve(big_key, head, &head_ticket, &error)) << error;
+
+  const std::vector<int> ks = {3, 3, 64, 100};
+  std::vector<uint64_t> tickets;
+  for (int k : ks) {
+    SolveSpec spec;
+    spec.kind = SolveKind::kThm12Node;
+    spec.problem = ProblemId::kColoringDeltaPlusOne;
+    spec.k = k;
+    uint64_t ticket = 0;
+    ASSERT_TRUE(c->Solve(small_key, spec, &ticket, &error)) << error;
+    tickets.push_back(ticket);
+  }
+  for (size_t i = 0; i < ks.size(); ++i) {
+    TicketState state;
+    SolveResult result;
+    std::string why;
+    ASSERT_TRUE(
+        c->Fetch(tickets[i], /*block=*/true, &state, &result, &why, &error))
+        << error;
+    ASSERT_EQ(state, TicketState::kDone) << why;
+    const Expected e = ExpectThm12(small, ks[i]);
+    EXPECT_EQ(result.engine_rounds, e.engine_rounds) << "k=" << ks[i];
+    EXPECT_EQ(result.messages, e.messages) << "k=" << ks[i];
+    EXPECT_EQ(result.digest, e.digest) << "k=" << ks[i];
+  }
+
+  ServerStats stats;
+  ASSERT_TRUE(c->Stats(&stats, &error)) << error;
+  EXPECT_EQ(stats.batches, 2u);
+  EXPECT_EQ(stats.max_batch, ks.size());
+  ColoringProblem problem(ColoringProblem::Mode::kDeltaPlusOne,
+                          small.MaxDegree());
+  uint64_t want_rounds = ExpectRake(big, head.k).engine_rounds;
+  uint64_t want_messages = (uint64_t)ExpectRake(big, head.k).messages;
+  for (int k : {3, 64}) {
+    const Thm12Result r = SolveNodeProblemOnTree(
+        problem, small, IotaIds(small.NumNodes()), small.NumNodes(), k);
+    want_rounds += (uint64_t)r.rounds_total;
+    want_messages += (uint64_t)r.engine_messages;
+  }
+  EXPECT_EQ(stats.engine_rounds, want_rounds);
+  EXPECT_EQ(stats.engine_messages, want_messages);
   server_->Stop();
 }
 

@@ -312,6 +312,71 @@ TEST(TransformDeterminism, Thm12BatchMatchesSoloPerK) {
   EXPECT_EQ(SolveNodeProblemOnTreeBatch(mis, empty, {}, 8, {2, 4}).size(), 2u);
 }
 
+// Duplicate k's and k's that are canonically equal (k >= Delta) share one
+// phase 2-3 run inside the batch; every slot must still equal its own solo
+// run, field for field, in the caller's slot order.
+TEST(TransformDeterminism, Thm12BatchCollapsedSlotsMatchSolo) {
+  const Graph tree = BoundedDegreeRandomTree(400, 4, 31);
+  ASSERT_LE(tree.MaxDegree(), 4);
+  const auto ids = DefaultIds(400, 32);
+  const std::vector<int> ks = {3, 3, 64, 2, 4, 9, 3, 4, 2, 5};
+  MisProblem mis;
+  ColoringProblem coloring(ColoringProblem::Mode::kDeltaPlusOne,
+                           tree.MaxDegree());
+  for (const NodeProblem* problem :
+       std::vector<const NodeProblem*>{&mis, &coloring}) {
+    for (int threads : {1, 2}) {
+      const auto batched = SolveNodeProblemOnTreeBatch(
+          *problem, tree, ids, IdSpace(400), ks, threads);
+      ASSERT_EQ(batched.size(), ks.size());
+      for (size_t b = 0; b < ks.size(); ++b) {
+        SCOPED_TRACE("problem=" + problem->Name() + " k=" +
+                     std::to_string(ks[b]) + " slot=" + std::to_string(b));
+        const auto solo =
+            SolveNodeProblemOnTree(*problem, tree, ids, IdSpace(400), ks[b]);
+        const Thm12Result& got = batched[b];
+        EXPECT_EQ(got.k, ks[b]);
+        EXPECT_TRUE(got.valid) << got.why;
+        EXPECT_EQ(got.valid, solo.valid);
+        EXPECT_EQ(got.why, solo.why);
+        EXPECT_EQ(got.rounds_total, solo.rounds_total);
+        EXPECT_EQ(got.rounds_decomposition, solo.rounds_decomposition);
+        EXPECT_EQ(got.rounds_base, solo.rounds_base);
+        EXPECT_EQ(got.rounds_gather, solo.rounds_gather);
+        EXPECT_EQ(got.engine_messages, solo.engine_messages);
+        EXPECT_EQ(got.num_rake_components, solo.num_rake_components);
+        EXPECT_EQ(got.max_rake_component_diameter,
+                  solo.max_rake_component_diameter);
+        EXPECT_EQ(got.num_compressed, solo.num_compressed);
+        EXPECT_EQ(got.num_raked, solo.num_raked);
+        EXPECT_EQ(got.rake_compress.iteration, solo.rake_compress.iteration);
+        EXPECT_EQ(got.rake_compress.compressed, solo.rake_compress.compressed);
+        EXPECT_EQ(got.rake_compress.num_iterations,
+                  solo.rake_compress.num_iterations);
+        EXPECT_EQ(got.rake_compress.engine_rounds,
+                  solo.rake_compress.engine_rounds);
+        EXPECT_EQ(got.rake_compress.messages, solo.rake_compress.messages);
+        EXPECT_EQ(got.rake_compress.round_stats,
+                  solo.rake_compress.round_stats);
+        EXPECT_EQ(got.base_stats.rounds, solo.base_stats.rounds);
+        EXPECT_EQ(got.base_stats.linial_rounds, solo.base_stats.linial_rounds);
+        EXPECT_EQ(got.base_stats.num_classes, solo.base_stats.num_classes);
+        EXPECT_EQ(got.base_stats.messages, solo.base_stats.messages);
+        EXPECT_EQ(got.base_stats.sweep_messages,
+                  solo.base_stats.sweep_messages);
+        EXPECT_EQ(got.base_stats.linial_round_stats,
+                  solo.base_stats.linial_round_stats);
+        EXPECT_EQ(got.base_stats.sweep_round_stats,
+                  solo.base_stats.sweep_round_stats);
+        for (int e = 0; e < tree.NumEdges(); ++e) {
+          ASSERT_EQ(got.labeling.GetSlot(e, 0), solo.labeling.GetSlot(e, 0));
+          ASSERT_EQ(got.labeling.GetSlot(e, 1), solo.labeling.GetSlot(e, 1));
+        }
+      }
+    }
+  }
+}
+
 TEST(TransformDeterminism, Thm15SameInputsSameTranscript) {
   Graph g = ForestUnion(300, 2, 23);
   auto ids = DefaultIds(300, 24);
