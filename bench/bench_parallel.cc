@@ -4,14 +4,14 @@
 // Three measurements, all on uniform-random-tree rake-compress (the
 // bandwidth-bound workload ROADMAP names as the sharding target), merged
 // into BENCH_engine.json as source "bench_parallel":
-//   * parallel_scaling: ParallelNetwork at each T in --threads vs the serial
-//     Network — per-T wall-clock (best of --reps), speedup, and the
+//   * parallel_scaling: Network at each T in --threads vs Network at
+//     T = 1 — per-T wall-clock (best of --reps), speedup, and the
 //     per-round wall-clock trajectory. Exits non-zero if any T's transcript
 //     (outputs, rounds, messages, per-round RoundStats) differs from
-//     serial: the determinism contract is the acceptance gate, speedup is
+//     T = 1: the determinism contract is the acceptance gate, speedup is
 //     reported but never traded against it.
-//   * parallel_batch: a k-sweep on ParallelBatchNetwork (instance shards)
-//     vs B solo Network runs, same identity gate.
+//   * parallel_batch: a k-sweep on a sharded BatchNetwork (instance
+//     slices) vs B solo Network runs, same identity gate.
 //   * relabel_ablation: Network with NetworkOptions::relabel vs default
 //     layout, identity-gated, timing both (the BFS locality satellite).
 //
@@ -29,7 +29,6 @@
 #include "src/core/rake_compress.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
@@ -84,7 +83,7 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
 
   bool ok = true;
   for (int threads : thread_counts) {
-    local::ParallelNetwork par(tree, ids, threads);
+    local::Network par(tree, ids, threads);
     bench::EngineTimingRecorder::Arm(par);
     RakeCompressResult got;
     std::vector<double> par_rounds;
@@ -162,7 +161,7 @@ bool RunParallelBatch(const Graph& tree, const std::vector<int64_t>& ids,
     }
   }
 
-  local::ParallelBatchNetwork batch(tree, ids, B, threads);
+  local::BatchNetwork batch(tree, ids, B, threads);
   RunRakeCompressBatch(batch, ks);  // warmup
   double batch_s = 1e300;
   std::vector<RakeCompressResult> got;

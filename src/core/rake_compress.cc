@@ -6,7 +6,6 @@
 #include <stdexcept>
 
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/support/mathutil.h"
 
@@ -161,10 +160,6 @@ RakeCompressResult RunRakeCompress(local::Network& net, int k) {
   return RunRakeCompressOnEngine(net, k);
 }
 
-RakeCompressResult RunRakeCompress(local::ParallelNetwork& net, int k) {
-  return RunRakeCompressOnEngine(net, k);
-}
-
 RakeCompressResult RunRakeCompress(local::ReferenceNetwork& net, int k) {
   return RunRakeCompressOnEngine(net, k);
 }
@@ -237,8 +232,8 @@ std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
   // The engine is sized to the deduped sweep — this is where the memory
   // (and traffic) saving comes from, so dedup must precede construction.
   const CanonicalKGroups groups = GroupByCanonicalK(ks, tree.MaxDegree());
-  local::ParallelBatchNetwork net(
-      tree, ids, static_cast<int>(groups.unique.size()), num_threads);
+  local::BatchNetwork net(tree, ids, static_cast<int>(groups.unique.size()),
+                         num_threads);
   std::vector<RakeCompressResult> unique_results =
       RunRakeCompressBatch(net, groups.unique);
   for (size_t i = 0; i < ks.size(); ++i) {

@@ -46,21 +46,14 @@ struct Thm12Result {
   int64_t num_raked = 0;
 };
 
+// The engine phases run on one Network with `num_threads` lanes; the
+// result is identical for every thread count (engine transcripts are
+// bit-identical by the engine's determinism contract).
 Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    const Graph& tree,
                                    const std::vector<int64_t>& ids,
-                                   int64_t id_space, int k);
-
-// Same pipeline with the engine-bound decomposition phase (phase 1) run on
-// a ParallelNetwork with `num_threads` lanes; the result is identical to
-// SolveNodeProblemOnTree for every thread count (phases 2-3 are engine-free
-// and phase 1's transcript is bit-identical by the ParallelNetwork
-// contract).
-Thm12Result SolveNodeProblemOnTreeParallel(const NodeProblem& problem,
-                                           const Graph& tree,
-                                           const std::vector<int64_t>& ids,
-                                           int64_t id_space, int k,
-                                           int num_threads);
+                                   int64_t id_space, int k,
+                                   int num_threads = 1);
 
 // Batched k-sweep: solves the same problem instance for every k in `ks`,
 // running the engine-bound decomposition phase (phase 1) of all instances
@@ -70,8 +63,8 @@ Thm12Result SolveNodeProblemOnTreeParallel(const NodeProblem& problem,
 // SolveNodeProblemOnTree(problem, tree, ids, id_space, ks[b]). This is the
 // form the k-ablation sweep and multi-query serving use: per-round engine
 // dispatch is paid once for the whole sweep instead of once per k.
-// `num_threads` > 1 runs phase 1 on a ParallelBatchNetwork, sharding the
-// instance slices across that many pool lanes — same results.
+// `num_threads` > 1 shards phase 1's batch instance slices across that many
+// pool lanes — same results.
 std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
     const NodeProblem& problem, const Graph& tree,
     const std::vector<int64_t>& ids, int64_t id_space,

@@ -72,7 +72,9 @@ struct RoundStats {
 // message wakes it (or never, if none arrives and the run hits max_rounds).
 inline constexpr int32_t kNoWakeRound = INT32_MAX;
 
-// Construction-time engine options (Network and ParallelNetwork).
+// Construction-time engine options for all three engines (Network and
+// BatchNetwork at every thread count; ReferenceNetwork accepts relabel and
+// ignores it).
 struct NetworkOptions {
   // Opt-in BFS locality relabeling: the engine assigns every node an
   // internal id in BFS order and lays the channel tables and mailboxes out
@@ -144,7 +146,6 @@ class MaxRoundsExceededError : public std::runtime_error {
 };
 
 class Network;
-class ParallelNetwork;
 class BatchNetwork;
 class ReferenceNetwork;
 class Algorithm;
@@ -187,8 +188,8 @@ void ValidateChannelScale(int64_t n, int64_t m, const char* engine);
 // n * Algorithm::StateBytes() zeroed bytes (reusing capacity across runs)
 // and calls InitState once per node. Slot i belongs to external node
 // inv[i] (inv null = identity), i.e. the plane is INTERNAL-indexed: under
-// relabel, slot order is BFS worklist order. Shared by Network,
-// ParallelNetwork, and ReferenceNetwork (where inv is always null).
+// relabel, slot order is BFS worklist order. Shared by Network and
+// ReferenceNetwork (where inv is always null).
 void ArmStatePlane(Algorithm& alg, int n, const int* inv,
                    std::vector<unsigned char>& plane, size_t& stride);
 
@@ -203,16 +204,15 @@ std::vector<int> BuildChanOwner(const std::vector<int>& first);
 // one round of communication — the engine exposes them directly for
 // convenience, which is standard (it shifts round counts by at most 1).
 //
-// One NodeContext serves all four engines. The CSR engines (Network and
-// ParallelNetwork shards) share one branch: the context carries raw views of
-// the engine's channel tables, mailboxes, halt flags, and a message counter,
-// so Recv/Send/Halt are single array accesses with no engine indirection —
-// and under ParallelNetwork the counter view points at the shard's own
-// padded slot, which is what keeps the hot path free of atomics. The
-// BatchNetwork branch adds an instance index into B-wide mailbox slots and
-// per-shard dirty-channel bookkeeping; the ReferenceNetwork branch is the
-// naive out-of-line path used for differential testing. The branch predicts
-// perfectly inside a run.
+// One NodeContext serves all three engines. The Network branch carries raw
+// views of the engine's channel tables, mailboxes, halt flags, and a
+// message counter, so Recv/Send/Halt are single array accesses with no
+// engine indirection — and the counter view points at the running shard's
+// own padded slot, which is what keeps the hot path free of atomics at
+// every thread count. The BatchNetwork branch adds an instance index into
+// B-wide mailbox slots and per-shard dirty-channel bookkeeping; the
+// ReferenceNetwork branch is the naive out-of-line path used for
+// differential testing. The branch predicts perfectly inside a run.
 class NodeContext {
  public:
   int node() const { return node_; }
@@ -237,9 +237,9 @@ class NodeContext {
   // O(1): one channel-table load plus an epoch check.
   inline const Message& Recv(int port) const;
 
-  // Queue a message on `port` for delivery next round. O(1). Network and
-  // ParallelNetwork look up the reverse half-edge in send_chan_ and store
-  // straight into the receiver's inbox slot (one random store);
+  // Queue a message on `port` for delivery next round. O(1). Network looks
+  // up the reverse half-edge in send_chan_ and stores straight into the
+  // receiver's inbox slot (one random store);
   // BatchNetwork stages at the sender's own CSR slot and scatters at the
   // round barrier. Sending twice on a port in one round keeps only the last
   // message.
@@ -276,7 +276,6 @@ class NodeContext {
 
  private:
   friend class Network;
-  friend class ParallelNetwork;
   friend class BatchNetwork;
   friend class ReferenceNetwork;
   NodeContext(GraphView graph, const int64_t* ids, BatchNetwork* batch,
@@ -288,15 +287,14 @@ class NodeContext {
   BatchNetwork* batch_;    // batched multi-instance engine, or null
   ReferenceNetwork* ref_;  // reference engine, or null
 
-  // CSR fast-path views (Network and ParallelNetwork; first_ non-null
-  // selects this branch — the offset table is never empty, unlike the
-  // mailboxes of an edgeless graph). first_ is indexed by rank_, halted_ by
-  // node_. All writes reachable through them are disjoint across
-  // concurrently running nodes — each node stores only through its own send
-  // channels, halts only itself, and counts into its own shard's sent_ slot
-  // — which is the whole data-race argument for the sharded round pass.
-  // The engine refreshes inbox_/outbox_/epoch_ every round (the mailboxes
-  // swap).
+  // CSR fast-path views (Network; first_ non-null selects this branch — the
+  // offset table is never empty, unlike the mailboxes of an edgeless
+  // graph). first_ is indexed by rank_, halted_ by node_. All writes
+  // reachable through them are disjoint across concurrently running nodes
+  // — each node stores only through its own send channels, halts only
+  // itself, and counts into its own shard's sent_ slot — which is the whole
+  // data-race argument for the sharded round pass. The engine refreshes
+  // inbox_/outbox_/epoch_ every round (the mailboxes swap).
   const int* first_ = nullptr;
   const int* send_chan_ = nullptr;
   const Message* inbox_ = nullptr;
@@ -321,9 +319,9 @@ class NodeContext {
   // wake recorder, non-null only in scheduled runs (one null check is the
   // whole hot-path cost when off): an observable Send marks its receiver's
   // internal rank once per round (epoch-stamped dedup; the stamp is atomic
-  // so ParallelNetwork shards dedup across threads with a relaxed exchange,
-  // which costs nothing extra on the serial engine) into this shard's own
-  // notified list. Sleeping receivers are woken at the round barrier.
+  // so shards on different lanes dedup with a relaxed exchange, which costs
+  // nothing extra at T = 1) into this shard's own notified list. Sleeping
+  // receivers are woken at the round barrier.
   int32_t sleep_until_ = 0;
   const int* chan_owner_ = nullptr;  // recv channel -> receiver internal rank
   std::atomic<int32_t>* notify_stamp_ = nullptr;
@@ -411,18 +409,18 @@ class Algorithm {
 
 // Synchronous message-passing engine over a port-numbered network, per the
 // LOCAL model: all nodes run in lockstep; messages sent in round r are
-// received in round r+1. Deterministic by construction (nodes run in a
-// fixed per-engine order; the LOCAL semantics are order-independent because
-// sends only become visible next round).
+// received in round r+1. Deterministic by construction (the LOCAL
+// semantics are order-independent because sends only become visible next
+// round).
 //
 // Engine family (see README.md for how to pick):
 //   ReferenceNetwork — naive O(n + m) per round; differential-test oracle.
-//   Network          — serial engine, O(active work) per round (below).
-//   ParallelNetwork  — Network's round pass sharded across a thread pool,
-//                      bit-identical transcripts for every thread count.
-//   BatchNetwork     — B independent instances over one shared topology in
-//                      a single per-round pass; ParallelBatchNetwork shards
-//                      its instance slices across threads.
+//   Network(T)       — the solo engine, O(active work) per round (below);
+//                      its round pass runs on T thread-pool lanes, with
+//                      bit-identical transcripts for every T.
+//   BatchNetwork(T)  — B independent instances over one shared topology in
+//                      a single per-round pass, instance slices sharded
+//                      across T lanes.
 //
 // Throughput design (the per-round cost is the system-wide bottleneck for
 // every pipeline in this repository):
@@ -445,10 +443,27 @@ class Algorithm {
 //     compacts in place (stable, preserving the engine's node order). Once a
 //     node halts it is never touched again.
 //
-// Per-round complexity: O(sum of OnRound costs over active nodes) + O(#active)
-// for the compaction + O(1) bookkeeping. Nothing is proportional to n or m
-// per round; construction is O(n + m); Run performs no allocation beyond
-// growing the per-round stats vector.
+// Sharding: within a round every node's OnRound is independent, so the
+// worklist is split into T contiguous shards, one per pool lane (at T = 1
+// the pool runs the single shard inline on the calling thread). The shared
+// mutable state is handled without locks or hot-path atomics:
+//   * The outbox: every channel has exactly one sender, so concurrent
+//     shards store to disjoint slots by construction.
+//   * Counters: each shard counts its own nodes' sends, visits and content
+//     hashes in a cache-line-padded slot, summed at the round barrier. Sums
+//     commute, so every total is independent of the sharding.
+//   * Halt/compaction: a node halts only itself, each shard stable-compacts
+//     its own worklist range in place, and the barrier stitches the kept
+//     prefixes back into one dense worklist in the engine's node order.
+//   * Wake scheduling: the current bucket holds each rank at most once (the
+//     barrier dedups through the wake rounds themselves), so no two shards
+//     visit one node; sleeps land in the visiting shard's own calendar, and
+//     the barrier merges the shards' next buckets.
+//
+// Per-round complexity: O(sum of OnRound costs over active nodes / T) per
+// lane + O(#active / T) for the compaction + O(T) barrier work. Nothing is
+// proportional to n or m per round; construction is O(n + m); Run performs
+// no allocation beyond growing the per-round stats vector.
 //
 // A Network is reusable: Run may be called any number of times (same graph
 // and IDs) with no reallocation — epochs advance monotonically across runs,
@@ -458,15 +473,22 @@ class Network {
   // GraphView converts implicitly from either backend, so
   // Network(graph, ids) works unchanged for a Graph and equally for a
   // CompactGraph — with bit-identical transcripts (the view must outlive
-  // the engine, as the Graph always had to).
-  Network(GraphView graph, std::vector<int64_t> ids);
+  // the engine, as the Graph always had to). `num_threads` is the lane
+  // count of the round pass, in [1, support::ThreadPool::kMaxThreads]
+  // (std::invalid_argument otherwise, before any thread starts).
+  Network(GraphView graph, std::vector<int64_t> ids, int num_threads = 1);
   Network(GraphView graph, std::vector<int64_t> ids,
+          const NetworkOptions& options);
+  Network(GraphView graph, std::vector<int64_t> ids, int num_threads,
           const NetworkOptions& options);
 
   // Runs `alg` until every node has halted or `max_rounds` is hit.
   // Returns the number of rounds executed (a node halting in round r has
   // round complexity r+1 counted rounds; an algorithm that halts every node
-  // in round 0 used 1 round). Throws if max_rounds is exceeded.
+  // in round 0 used 1 round). Throws if max_rounds is exceeded. An
+  // exception thrown by OnRound on any shard is rethrown here after the
+  // round joins; the engine remains usable (the next Run re-initializes all
+  // per-run state).
   //
   // The 32-bit epoch stamps wrap only after ~2^31 cumulative rounds; Run
   // re-arms the mailboxes at both wrap points (before a run, and — for a
@@ -492,9 +514,10 @@ class Network {
 
   // Serializes the current round boundary (engine must be paused() or
   // finished()) as a canonical snapshot: resuming it — in this engine, a
-  // fresh one, any other solo engine, any relabel/thread setting — continues
-  // the run bit-identically. Throws SnapshotError mid-round or before any
-  // run.
+  // fresh one, any relabel/thread setting, or the reference engine —
+  // continues the run bit-identically. The informational engine tag is
+  // kNetwork at T = 1 and kParallelNetwork above. Throws SnapshotError
+  // mid-round or before any run.
   void Checkpoint(std::ostream& out) const;
 
   // Loads a snapshot (fully validated, including against this engine's
@@ -506,6 +529,8 @@ class Network {
   void Resume(std::istream& in);
 
   ~Network();
+
+  int num_threads() const { return pool_.num_threads(); }
 
   // Backend-specific access: graph() serves the pipelines still tied to
   // the uncompressed CSR (incidence spans, edge slots) and throws
@@ -544,15 +569,18 @@ class Network {
   int64_t wakes() const { return wakes_; }
 
   // Opt-in wall-clock timing of each round (two clock reads per round; off
-  // by default so the hot loop stays branch-only). Consumed by the engine
-  // benches to show per-round cost tracks active_nodes, not n.
+  // by default so the hot loop stays branch-only), covering the full round:
+  // fork, node pass, join, and barrier. Consumed by the engine benches to
+  // show per-round cost tracks active_nodes, not n.
   void set_record_round_times(bool on) { record_round_times_ = on; }
   bool record_round_times() const { return record_round_times_; }
   const std::vector<double>& round_seconds() const { return round_seconds_; }
 
   // Post-run read-back of external node v's state slot (the engine does the
   // external->internal translation here, off the hot path). T must be the
-  // algorithm's declared state type; valid until the next Run.
+  // algorithm's declared state type; valid until the next Run. During a
+  // round the plane is shared by all shards, but every node writes only its
+  // own slot, so it needs no locks and no atomics.
   template <typename T>
   const T& StateAt(int v) const {
     const auto i = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
@@ -567,6 +595,26 @@ class Network {
 
  private:
   friend class NodeContext;
+
+  // Per-shard round state, cache-line padded. sent is the shard's message
+  // counter (NodeContext::sent_ points here) and macc its content-digest
+  // accumulator (NodeContext::macc_); kept is the size of the shard's
+  // compacted worklist range, decisions its visits that acted. The rest is
+  // wake-scheduling state, touched only by this shard's lane during a round
+  // and read at the barrier: the halt count, the wake candidates this
+  // shard's sends recorded (NodeContext::notified_), the ranks parked while
+  // the send hook was still disarmed, and the shard's own calendar of
+  // future wake buckets (see wake_round_ below).
+  struct alignas(64) Shard {
+    int64_t sent = 0;
+    uint64_t macc = 0;
+    int kept = 0;
+    int halts = 0;
+    int64_t decisions = 0;
+    std::vector<int> notified;
+    std::vector<int> parked_now;
+    std::vector<std::vector<int>> calendar;
+  };
 
   GraphView graph_;
   std::vector<int64_t> ids_;
@@ -589,51 +637,54 @@ class Network {
                              // state plane streams sequentially even under
                              // relabel — the whole point of internal indexing.
                              // Under wake scheduling it holds only the
-                             // CURRENT ROUND's wake bucket instead.
+                             // CURRENT ROUND's wake bucket instead, each
+                             // rank at most once.
   // Wake-scheduling state (armed lazily on the first scheduled run; the
-  // legacy always-visit path never touches any of it). wake_round_[i] is
-  // rank i's next scheduled round (kNoWakeRound = parked); calendar_[r]
-  // holds ranks waking in future round r — entries go stale when a message
-  // wake or an earlier visit moves the node's wake round, and the drain
-  // skips any entry with wake_round_ != r (a visit always moves the wake
-  // round past r, so duplicates self-invalidate; no dedup stamps needed).
-  // notify_stamp_/notified_/chan_owner_ implement the Send-side message-
-  // wake recording described at NodeContext.
+  // always-visit path never touches any of it). wake_round_[i] is rank i's
+  // next scheduled round (kNoWakeRound = parked), or ~r (negative) once
+  // the barrier has placed it in round r's bucket — which is how the
+  // barrier places each rank at most once (two shards must not visit one
+  // node) with no extra per-node array. It needs no atomics, because during
+  // a round each rank is written only by the shard visiting it and all
+  // cross-rank reads happen at the barrier. Each shard's calendar[r] holds
+  // ranks it put to sleep until future round r; entries go stale when a
+  // message wake or a later sleep moves the node's wake round, and the
+  // barrier places an entry only while wake_round_ still equals r.
+  // notify_stamp_/chan_owner_ implement the Send-side message-wake
+  // recording described at NodeContext.
   std::vector<int32_t> wake_round_;
-  std::vector<std::vector<int>> calendar_;
   std::vector<int> chan_owner_;
   std::unique_ptr<std::atomic<int32_t>[]> notify_stamp_;
-  std::vector<int> notified_;
   // The Send-side recording costs two extra random cache lines per
   // observable send (chan_owner_ + notify_stamp_), which dense scheduled
   // algorithms — every live node acting every round, nobody ever parked —
   // would pay for nothing. The hook is therefore armed only once some node
   // is actually parked past the next round; the round that parks the
   // first nodes with the hook still off resolves their wakes by scanning
-  // just those nodes' inboxes at the barrier (parked_now_), then arms.
-  // Once armed it stays armed for the rest of the run: exactness matters
-  // only for the never-parks case, which this makes entirely free.
+  // just those nodes' inboxes at the barrier (Shard::parked_now), then
+  // arms. Once armed it stays armed for the rest of the run: exactness
+  // matters only for the never-parks case, which this makes entirely free.
+  // Written only at Run setup and at the barrier.
   bool notify_armed_ = false;
-  std::vector<int> parked_now_;  // parked this round while disarmed
-  int live_count_ = 0;     // non-halted nodes (scheduled runs' termination)
-  int64_t wakes_ = 0;      // message wakes, last Run
-  bool scheduled_ = false; // last Run honored the wake schedule
+  int live_count_ = 0;      // non-halted nodes (scheduled runs' termination)
+  int64_t wakes_ = 0;       // message wakes, last Run
+  bool scheduled_ = false;  // last Run honored the wake schedule
+  bool wake_opt_ = true;    // NetworkOptions::wake_scheduling
   // Engine-owned per-node state plane (Algorithm::StateBytes per slot),
   // indexed by internal rank; re-armed (zero + InitState) every Run,
   // reallocated only when the slot size changes.
   std::vector<unsigned char> state_;
   size_t state_stride_ = 0;
+  std::vector<Shard> shards_;
   std::vector<RoundStats> round_stats_;
   std::vector<double> round_seconds_;
   bool record_round_times_ = false;
   // Transcript digest chain (see round_digests()): per-round content
-  // accumulators, per-round chained digests, and the running values.
+  // accumulators, per-round chained digests, and the running value.
   std::vector<uint64_t> round_msg_acc_;
   std::vector<uint64_t> round_digests_;
   uint64_t digest_ = support::kDigestSeed;
-  uint64_t msg_acc_ = 0;  // current round's content accumulator
   bool digest_messages_ = false;
-  bool wake_opt_ = true;  // NetworkOptions::wake_scheduling
   support::FaultInjector* fault_ = nullptr;
   // Pause/resume state machine: mid_run_ marks a run paused at a round
   // boundary (mailboxes/state live, same-algorithm continuation only);
@@ -642,14 +693,13 @@ class Network {
   bool mid_run_ = false;
   bool finished_ = false;
   std::unique_ptr<SnapshotData> pending_resume_;
+  support::ThreadPool pool_;  // num_threads lanes, persistent
   int32_t epoch_ = 1;  // monotone across runs (wrap-guarded in Run);
                        // stamps start at -1
   int round_ = 0;
   int64_t messages_delivered_ = 0;
 
   static const Message kNoMessage;
-
-  friend class ParallelNetwork;  // shares kNoMessage via NodeContext::Recv
 };
 
 // Batched multi-instance engine: runs B independent Algorithm instances over
@@ -683,19 +733,19 @@ class Network {
 // sequentially per instance slice instead of interleaving 3*B prefetch
 // streams.
 //
-// Sharded mode (num_threads > 1, or construct a ParallelBatchNetwork): the
-// per-round pass splits the batch into contiguous instance slices, one per
-// thread-pool lane. Instance slices are embarrassingly parallel — staging
-// planes, message counters, per-instance halt flags, and RoundStats are all
-// per-instance — so each shard runs its slice's node pass AND its slice's
-// scatter with no barrier in between (the scatter touches only the shard's
-// own instance slots of each inbox cluster). The two cross-instance
+// Sharded mode (num_threads > 1): the per-round pass splits the batch into
+// contiguous instance slices, one per thread-pool lane. Instance slices are
+// embarrassingly parallel — staging planes, message counters, per-instance
+// halt flags, and RoundStats are all per-instance — so each shard runs its
+// slice's node pass AND its slice's scatter with no barrier in between (the
+// scatter touches only the shard's own instance slots of each inbox
+// cluster). The two cross-instance
 // structures are handled explicitly: dirty-channel bookkeeping is per shard
 // (a channel dirtied by several shards is scattered once per shard, each
 // moving disjoint instance slots), and the shared per-node live-instance
 // countdown is a relaxed atomic (a pure counter: any decrement order yields
 // the same compaction decision at the barrier). Transcripts are bit-identical
-// to the serial batch — and therefore to B solo Network runs — for every
+// to the single-lane batch — and therefore to B solo Network runs — for every
 // thread count.
 //
 // Batch API contract:
@@ -737,11 +787,8 @@ class BatchNetwork {
   BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
                int num_threads, const NetworkOptions& options);
 
-  // Virtual only so deleting a ParallelBatchNetwork through a
-  // BatchNetwork* is defined; there are no other virtuals and no virtual
-  // dispatch anywhere near the hot paths. Out of line for the
-  // incomplete-type pending_resume_ member.
-  virtual ~BatchNetwork();
+  // Out of line for the incomplete-type pending_resume_ member.
+  ~BatchNetwork();
 
   // Runs algs[b] as instance b (algs.size() must equal batch()) until every
   // instance has halted every node; throws if a round would exceed
@@ -923,17 +970,6 @@ class BatchNetwork {
   support::ThreadPool pool_;          // num_threads lanes, persistent
   int32_t epoch_ = 1;  // same monotone/wrap-guarded scheme as Network
   int round_ = 0;
-};
-
-// The sharded batch engine under its own name: a BatchNetwork whose
-// per-round pass (and per-shard scatter) runs on `num_threads` persistent
-// pool lanes. Composes with every BatchNetwork-taking entry point
-// (RunRakeCompressBatch, SolveNodeProblemOnTreeBatch, ...) unchanged.
-class ParallelBatchNetwork final : public BatchNetwork {
- public:
-  ParallelBatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
-                       int num_threads)
-      : BatchNetwork(graph, std::move(ids), batch, num_threads) {}
 };
 
 inline int NodeContext::degree() const {

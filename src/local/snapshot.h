@@ -99,7 +99,9 @@ class SnapshotVersionError : public SnapshotError {
 inline constexpr uint32_t kSnapshotFlagDigestMessages = 1u << 0;
 
 // Informational engine tag (not enforced on resume — the image is
-// canonical, so any engine configuration can pick the run up).
+// canonical, so any engine configuration can pick the run up). Network
+// writes kNetwork at one thread and kParallelNetwork above, the values the
+// serial and sharded solo engines wrote before they were merged.
 enum class SnapshotEngineKind : uint32_t {
   kNetwork = 0,
   kParallelNetwork = 1,
@@ -199,8 +201,7 @@ Graph ReconstructGraph(const SnapshotData& snap);
 
 namespace internal {
 
-// Shared canonical gather/apply for the two solo CSR engines (Network and
-// ParallelNetwork have member-identical mailbox/worklist/state layouts).
+// Canonical gather/apply for Network's mailbox/worklist/state layout.
 // `order` maps internal rank -> external node and `perm` the reverse
 // (empty = identity); `first` is the rank-indexed CSR offset table, read
 // through `perm` so the canonical image stays external-indexed;

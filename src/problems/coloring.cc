@@ -36,8 +36,7 @@ bool ColoringProblem::EdgeConfigOk(std::span<const Label> labels,
 
 void ColoringProblem::SequentialAssign(const Graph& g, int v,
                                        HalfEdgeLabeling& h) const {
-  // Reused per thread: the class sweeps call this on ParallelNetwork
-  // shards.
+  // Reused per thread: the class sweeps call this on engine shards.
   thread_local std::vector<int64_t> forbidden;
   forbidden.clear();
   for (int e : g.IncidentEdges(v)) {

@@ -84,7 +84,7 @@ void EdgeColoringProblem::SequentialAssignEdge(const Graph& g, int e,
   // This is the inner loop of every class sweep and star stage: one shared
   // buffer for both endpoints' used colors (the per-endpoint counts ride
   // along for the degree parts), reused per thread because the sweeps run
-  // on ParallelNetwork shards.
+  // on engine shards.
   auto [v1, v2] = g.Endpoints(e);
   thread_local std::vector<int64_t> forbidden;
   forbidden.clear();

@@ -408,6 +408,13 @@ void Dispatcher::RunRakeCompressBatchPass(
       pass_rounds += (uint64_t)rounds[b];
       pass_messages += (uint64_t)net.messages_delivered(b);
     }
+    {
+      // Counted before any member finishes, as in RunSolo: a client that
+      // has fetched its result must also see the pass in Stats.
+      std::lock_guard<std::mutex> lock(mu_);
+      engine_rounds_ += pass_rounds;
+      engine_messages_ += pass_messages;
+    }
     for (size_t i = 0; i < members.size(); ++i) {
       if (terminal[i]) continue;
       const int b = member_instance[i];
@@ -428,9 +435,6 @@ void Dispatcher::RunRakeCompressBatchPass(
       res.iterations = (uint32_t)(r / 3);
       Finish(members[i], TicketState::kDone, res, "");
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    engine_rounds_ += pass_rounds;
-    engine_messages_ += pass_messages;
   } catch (const std::exception& e) {
     fail_rest(e.what());
   }
@@ -457,12 +461,21 @@ void Dispatcher::RunThm12BatchPass(const std::vector<TicketPtr>& members) {
     std::vector<char> counted(groups.unique.size(), 0);
     uint64_t pass_rounds = 0, pass_messages = 0;
     for (size_t i = 0; i < members.size(); ++i) {
-      const Thm12Result& r = results[i];
       if (!counted[groups.slot[i]]) {
         counted[groups.slot[i]] = 1;
-        pass_rounds += (uint64_t)r.rounds_total;
-        pass_messages += (uint64_t)r.engine_messages;
+        pass_rounds += (uint64_t)results[i].rounds_total;
+        pass_messages += (uint64_t)results[i].engine_messages;
       }
+    }
+    {
+      // Counted before any member finishes, as in RunSolo: a client that
+      // has fetched its result must also see the pass in Stats.
+      std::lock_guard<std::mutex> lock(mu_);
+      engine_rounds_ += pass_rounds;
+      engine_messages_ += pass_messages;
+    }
+    for (size_t i = 0; i < members.size(); ++i) {
+      const Thm12Result& r = results[i];
       if (members[i]->cancel.load()) {
         Finish(members[i], TicketState::kCancelled, {}, "");
         continue;
@@ -484,9 +497,6 @@ void Dispatcher::RunThm12BatchPass(const std::vector<TicketPtr>& members) {
       res.iterations = (uint32_t)r.rake_compress.num_iterations;
       Finish(members[i], TicketState::kDone, res, "");
     }
-    std::lock_guard<std::mutex> lock(mu_);
-    engine_rounds_ += pass_rounds;
-    engine_messages_ += pass_messages;
   } catch (const std::exception& e) {
     fail_all(e.what());
   }

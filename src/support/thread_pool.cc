@@ -1,6 +1,7 @@
 #include "src/support/thread_pool.h"
 
 #include <stdexcept>
+#include <string>
 
 namespace treelocal::support {
 
@@ -11,8 +12,10 @@ thread_local bool t_inside_task = false;
 }  // namespace
 
 ThreadPool::ThreadPool(int num_threads) : num_threads_(num_threads) {
-  if (num_threads < 1) {
-    throw std::invalid_argument("ThreadPool needs num_threads >= 1");
+  if (num_threads < 1 || num_threads > kMaxThreads) {
+    throw std::invalid_argument("ThreadPool needs 1 <= num_threads <= " +
+                                std::to_string(kMaxThreads) + ", got " +
+                                std::to_string(num_threads));
   }
   workers_.reserve(num_threads - 1);
   for (int i = 0; i < num_threads - 1; ++i) {

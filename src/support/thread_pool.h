@@ -12,7 +12,7 @@
 
 namespace treelocal::support {
 
-// Persistent fork/join worker pool for the parallel LOCAL engines.
+// Persistent fork/join worker pool for the sharded LOCAL engines.
 //
 // A pool of `num_threads` execution lanes is created once (num_threads - 1
 // OS threads plus the calling thread, which always participates) and reused
@@ -39,8 +39,14 @@ namespace treelocal::support {
 // leave the remaining lanes idle at the barrier.
 class ThreadPool {
  public:
-  // `num_threads` >= 1 lanes; exactly num_threads - 1 worker threads are
-  // spawned and parked until the first ParallelFor.
+  // Upper bound on the lane count. Thread counts reach the engines from
+  // command lines and config, so an absurd value must fail as a usage
+  // error rather than start that many OS threads.
+  static constexpr int kMaxThreads = 256;
+
+  // `num_threads` in [1, kMaxThreads] lanes (std::invalid_argument
+  // otherwise, thrown before any thread starts); exactly num_threads - 1
+  // worker threads are spawned and parked until the first ParallelFor.
   explicit ThreadPool(int num_threads);
   ~ThreadPool();
 

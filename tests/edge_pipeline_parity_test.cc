@@ -2,7 +2,7 @@
 // base layer: the engine-native path (phases 1-3 on one host engine, fused
 // multi-forest Cole-Vishkin, engine class sweeps) must produce BIT-IDENTICAL
 // outputs to the preserved host-side oracle across problems, arboricities,
-// k values, graph families, engine reuse, and ParallelNetwork thread counts
+// k values, graph families, engine reuse, and Network thread counts
 // (the T-sweep also runs under the TSan CI job).
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "src/graph/generators.h"
 #include "src/graph/semigraph.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/problems/coloring.h"
 #include "src/problems/edge_coloring.h"
 #include "src/problems/list_coloring.h"
@@ -205,7 +204,7 @@ TEST(EdgePipelineParity, EngineReuseAcrossSolves) {
 }
 
 // ---------------------------------------------------------------------------
-// ParallelNetwork T-sweep: the sharded pipeline is bit-identical to the
+// Network T-sweep: the sharded pipeline is bit-identical to the
 // serial engine (and hence to the legacy oracle) for every thread count.
 // Runs under TSan in CI.
 // ---------------------------------------------------------------------------
@@ -228,7 +227,7 @@ TEST(EdgePipelineParity, ParallelTSweepBitIdentical) {
     auto serial =
         SolveEdgeProblemBoundedArboricity(mm, w.graph, ids, space, w.a, w.k);
     for (int t : {1, 2, 3, 8}) {
-      auto sharded = SolveEdgeProblemBoundedArboricityParallel(
+      auto sharded = SolveEdgeProblemBoundedArboricity(
           mm, w.graph, ids, space, w.a, w.k, t);
       ExpectSameThm15(w.graph, sharded, serial,
                       w.name + "/T=" + std::to_string(t));
@@ -422,7 +421,7 @@ TEST(ForestSplitParity, EngineMatchesLegacyAcrossWorkloads) {
     auto engine = SplitAtypicalForests(net, decomp, w.a, space);
     ExpectSameSplit(engine, legacy, w.name);
     for (int t : {1, 2, 8}) {
-      local::ParallelNetwork pnet(w.graph, ids, t);
+      local::Network pnet(w.graph, ids, t);
       auto sharded = SplitAtypicalForests(pnet, decomp, w.a, space);
       ExpectSameSplit(sharded, legacy, w.name + "/T=" + std::to_string(t));
       EXPECT_EQ(sharded.messages, engine.messages) << w.name << " T=" << t;

@@ -16,7 +16,6 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/local/snapshot.h"
 #include "src/support/fault.h"
@@ -31,7 +30,6 @@ using local::MaxRoundsExceededError;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelNetwork;
 using local::ReferenceNetwork;
 using support::FaultInjectedError;
 using support::FaultInjector;
@@ -110,8 +108,8 @@ TEST(FaultTest, RoundBoundaryKillIsStructuredAndEngineReusable) {
     return std::make_unique<Network>(g, ids, o);
   }, "Network");
   run_case([&](const NetworkOptions& o) {
-    return std::make_unique<ParallelNetwork>(g, ids, 4, o);
-  }, "ParallelNetwork T=4");
+    return std::make_unique<Network>(g, ids, 4, o);
+  }, "Network T=4");
   run_case([&](const NetworkOptions& o) {
     return std::make_unique<ReferenceNetwork>(g, ids, o);
   }, "ReferenceNetwork");
@@ -132,8 +130,8 @@ TEST(FaultTest, MidRoundVisitThrowIsStructuredAndEngineReusable) {
     return std::make_unique<Network>(g, ids, o);
   }, "Network");
   run_case([&](const NetworkOptions& o) {
-    return std::make_unique<ParallelNetwork>(g, ids, 4, o);
-  }, "ParallelNetwork T=4");
+    return std::make_unique<Network>(g, ids, 4, o);
+  }, "Network T=4");
   run_case([&](const NetworkOptions& o) {
     return std::make_unique<ReferenceNetwork>(g, ids, o);
   }, "ReferenceNetwork");
@@ -279,9 +277,9 @@ TEST(FaultTest, MaxRoundsErrorCarriesDiagnostics) {
     net.Run(alg, 5);
   }, "Network");
   expect_diag([&] {
-    ParallelNetwork net(g, ids, 4);
+    Network net(g, ids, 4);
     net.Run(alg, 5);
-  }, "ParallelNetwork");
+  }, "Network");
   expect_diag([&] {
     ReferenceNetwork net(g, ids);
     net.Run(alg, 5);

@@ -1,10 +1,10 @@
 // Backend parity: a CompactGraph-backed engine run — in-RAM or mmap-opened
 // from a .cgr file — must be bit-identical to the Graph-backed run on the
 // same input: digest chains, rounds, message totals, RoundStats, and total
-// visits. Pinned across the whole engine matrix (Network / ParallelNetwork /
-// ReferenceNetwork / BatchNetwork / ParallelBatchNetwork, relabel on/off,
-// T in {1, 2, 8}) on trees, forests, star unions, hubbed forests, and
-// multi-component graphs, for a dense and a wake-scheduled algorithm.
+// visits. Pinned across the whole engine matrix (Network / ReferenceNetwork
+// / BatchNetwork, relabel on/off, T in {1, 2, 8}) on trees, forests, star
+// unions, hubbed forests, and multi-component graphs, for a dense and a
+// wake-scheduled algorithm.
 // This is THE determinism contract of the compressed backend: ports name
 // positions in the shared sorted adjacency, so nothing transcript-bearing
 // may depend on which backend served them.
@@ -25,7 +25,6 @@
 #include "src/graph/graph.h"
 #include "src/graph/graph_view.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/local/snapshot.h"
 #include "src/support/digest.h"
@@ -48,7 +47,7 @@ struct MappedCgr {
 
 // Base of the parity algorithms: every visit compares the engine's O(1)
 // ctx.degree() against the backend's own Degree, counting disagreements
-// (atomically — ParallelNetwork shards visit concurrently).
+// (atomically — Network shards visit concurrently).
 class DegreeCheckedAlgorithm : public local::Algorithm {
  public:
   explicit DegreeCheckedAlgorithm(GraphView g) : g_(g) {}
@@ -195,7 +194,7 @@ RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
     local::Network net(g, ids, opts);
     RecordSolo(net, net.Run(alg, max_rounds), rec);
   } else if (engine == "parallel") {
-    local::ParallelNetwork net(g, ids, threads, opts);
+    local::Network net(g, ids, threads, opts);
     RecordSolo(net, net.Run(alg, max_rounds), rec);
   } else if (engine == "reference") {
     local::ReferenceNetwork net(g, ids, opts);
@@ -301,7 +300,8 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
 }
 
 // The production pipeline on forests: rake-compress outputs, rounds,
-// messages, and digests must agree across backends on all five engines.
+// messages, and digests must agree across backends on every engine
+// configuration.
 TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
   for (const char* family : {"tree", "multi"}) {
     const Graph g = std::string(family) == "tree" ? UniformRandomTree(400, 21)
@@ -403,7 +403,7 @@ TEST(GraphBackendParityTest, CompactCheckpointResume) {
 }
 
 // Checkpoint/resume across relabel, engines and backends: pause a
-// relabeled, compact-backed ParallelNetwork (T = 2) in the middle of a
+// relabeled, compact-backed Network (T = 2) in the middle of a
 // wake-scheduled run, with parked nodes and undelivered messages at the
 // boundary. The snapshot is canonical (external-indexed), so an unrelabeled
 // mmap-backed Network, a ReferenceNetwork and a relabeled Network all resume
@@ -424,7 +424,7 @@ TEST(GraphBackendParityTest, RelabeledCompactCheckpointResume) {
   local::NetworkOptions relabel;
   relabel.relabel = true;
   for (const int pause : {2, 4, 5}) {
-    local::ParallelNetwork recorder(compact, ids, 2, relabel);
+    local::Network recorder(compact, ids, 2, relabel);
     WakeEchoAlgorithm alg(compact);
     recorder.RunUntil(alg, max_rounds, pause);
     ASSERT_TRUE(recorder.paused()) << pause;

@@ -1,14 +1,14 @@
-// Determinism suite for the sharded engines: ParallelNetwork (worklist
-// shards) and ParallelBatchNetwork (instance shards) must be bit-identical
-// to the serial engines — outputs, executed rounds, message counts, and
+// Determinism suite for the sharded engines: Network (worklist shards)
+// and BatchNetwork (instance shards) at T > 1 must be bit-identical to the
+// same engine at T = 1 — outputs, executed rounds, message counts, and
 // per-round RoundStats — for every thread count, across uneven worklist
 // sizes (n not divisible by T, n < T, empty shards) and mid-run halting
 // patterns that reshuffle the shard boundaries every round. Plus the
 // NetworkOptions::relabel bit-identity contract, engine reuse, exception
-// propagation out of sharded rounds, and the pipeline-level parallel
-// overloads (rake-compress, Linial, Cole-Vishkin, distributed sweep,
-// Theorem 12).
-#include "src/local/parallel_network.h"
+// propagation out of sharded rounds, the pipeline entry points' thread
+// parameter (rake-compress, Linial, Cole-Vishkin, distributed sweep,
+// Theorem 12), and rejection of thread counts outside the pool's range.
+#include "src/local/network.h"
 
 #include <gtest/gtest.h>
 
@@ -22,7 +22,6 @@
 #include "src/core/rake_compress.h"
 #include "src/core/transform_node.h"
 #include "src/graph/generators.h"
-#include "src/local/network.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
 
@@ -34,8 +33,7 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelBatchNetwork;
-using local::ParallelNetwork;
+using local::BatchNetwork;
 using local::RoundStats;
 
 // Message-dependent transcript with staggered, id-dependent halts (nodes
@@ -112,8 +110,8 @@ RunOutcome RunOn(Engine& net, Alg& alg, int max_rounds) {
   return out;
 }
 
-// The T-sweep stress: serial Network vs ParallelNetwork at every T, same
-// algorithm state and transcript required.
+// The T-sweep stress: Network at T = 1 vs every T, same algorithm state and
+// transcript required.
 template <typename AlgFactory>
 void ExpectParallelMatchesSerial(const Graph& g,
                                  const std::vector<int64_t>& ids,
@@ -123,7 +121,7 @@ void ExpectParallelMatchesSerial(const Graph& g,
   const RunOutcome want = RunOn(serial, *serial_alg, max_rounds);
   for (int threads : {1, 2, 3, 8}) {
     auto par_alg = make_alg();
-    ParallelNetwork par(g, ids, threads);
+    Network par(g, ids, threads);
     const RunOutcome got = RunOn(par, *par_alg, max_rounds);
     EXPECT_EQ(got.rounds, want.rounds) << "T=" << threads;
     EXPECT_EQ(got.messages, want.messages) << "T=" << threads;
@@ -179,7 +177,7 @@ TEST(ParallelNetworkTest, RakeCompressBitIdenticalAllT) {
     for (int k : {2, 8}) {
       RakeCompressResult want = RunRakeCompress(tree, ids, k);
       for (int threads : {1, 2, 4, 8}) {
-        ParallelNetwork net(tree, ids, threads);
+        Network net(tree, ids, threads);
         RakeCompressResult got = RunRakeCompress(net, k);
         EXPECT_EQ(got.iteration, want.iteration);
         EXPECT_EQ(got.compressed, want.compressed);
@@ -195,7 +193,7 @@ TEST(ParallelNetworkTest, ReuseMatchesFreshEngine) {
   const int n = 200;
   Graph g = UniformRandomTree(n, 77);
   auto ids = DefaultIds(n, 78);
-  ParallelNetwork reused(g, ids, 4);
+  Network reused(g, ids, 4);
 
   DigestRunner first(n);
   const RunOutcome a = RunOn(reused, first, 64);
@@ -219,7 +217,7 @@ TEST(ParallelNetworkTest, MaxRoundsThrowsAndEngineSurvives) {
   const int n = 64;
   Graph g = UniformRandomTree(n, 11);
   auto ids = DefaultIds(n, 12);
-  ParallelNetwork net(g, ids, 3);
+  Network net(g, ids, 3);
   Forever forever;
   EXPECT_THROW(net.Run(forever, 5), std::runtime_error);
   // The engine re-initializes per Run: a normal algorithm still works.
@@ -228,6 +226,14 @@ TEST(ParallelNetworkTest, MaxRoundsThrowsAndEngineSurvives) {
   DigestRunner serial_digest(n);
   EXPECT_EQ(net.Run(digest, 64), serial.Run(serial_digest, 64));
   EXPECT_EQ(digest.digest_, serial_digest.digest_);
+}
+
+TEST(ParallelNetworkTest, RejectsThreadCountsOutsidePoolRange) {
+  const Graph g = UniformRandomTree(16, 5);
+  const auto ids = DefaultIds(16, 6);
+  EXPECT_THROW(Network(g, ids, 0), std::invalid_argument);
+  EXPECT_THROW(Network(g, ids, support::ThreadPool::kMaxThreads + 1),
+               std::invalid_argument);
 }
 
 TEST(ParallelNetworkTest, OnRoundExceptionPropagates) {
@@ -244,7 +250,7 @@ TEST(ParallelNetworkTest, OnRoundExceptionPropagates) {
   const int n = 120;
   Graph g = UniformRandomTree(n, 21);
   auto ids = DefaultIds(n, 22);
-  ParallelNetwork net(g, ids, 4);
+  Network net(g, ids, 4);
   ThrowsAtRound2 bad;
   EXPECT_THROW(net.Run(bad, 100), std::domain_error);
   DigestRunner ok(n);
@@ -274,7 +280,7 @@ TEST(ParallelNetworkTest, RelabelBitIdentical) {
 
     for (int threads : {2, 3}) {
       DigestRunner par_alg(n);
-      ParallelNetwork par(g, ids, threads, relabel);
+      Network par(g, ids, threads, relabel);
       const RunOutcome par_got = RunOn(par, par_alg, 64);
       EXPECT_EQ(par_got.rounds, want.rounds) << "T=" << threads;
       EXPECT_EQ(par_got.messages, want.messages) << "T=" << threads;
@@ -299,7 +305,7 @@ TEST(ParallelNetworkTest, RelabelRakeCompressOnForestUnion) {
   EXPECT_EQ(got.round_stats, want.round_stats);
 }
 
-// ParallelBatchNetwork: every instance's transcript must equal its solo
+// BatchNetwork: every instance's transcript must equal its solo
 // Network run, for every shard count, with instances dropping out at
 // different rounds (uneven k mix).
 TEST(ParallelNetworkTest, ParallelBatchBitIdenticalAllT) {
@@ -310,7 +316,7 @@ TEST(ParallelNetworkTest, ParallelBatchBitIdenticalAllT) {
   std::vector<RakeCompressResult> want;
   for (int k : ks) want.push_back(RunRakeCompress(tree, ids, k));
   for (int threads : {1, 2, 3, 8}) {
-    ParallelBatchNetwork net(tree, ids, static_cast<int>(ks.size()), threads);
+    BatchNetwork net(tree, ids, static_cast<int>(ks.size()), threads);
     std::vector<RakeCompressResult> got = RunRakeCompressBatch(net, ks);
     for (size_t b = 0; b < ks.size(); ++b) {
       EXPECT_EQ(got[b].iteration, want[b].iteration) << "T=" << threads;
@@ -327,7 +333,7 @@ TEST(ParallelNetworkTest, ParallelBatchReuse) {
   Graph tree = UniformRandomTree(n, 5100);
   auto ids = DefaultIds(n, 5101);
   const std::vector<int> ks = {2, 4, 8};
-  ParallelBatchNetwork net(tree, ids, 3, 2);
+  BatchNetwork net(tree, ids, 3, 2);
   std::vector<RakeCompressResult> first = RunRakeCompressBatch(net, ks);
   std::vector<RakeCompressResult> second = RunRakeCompressBatch(net, ks);
   for (size_t b = 0; b < ks.size(); ++b) {
@@ -337,8 +343,8 @@ TEST(ParallelNetworkTest, ParallelBatchReuse) {
   }
 }
 
-// Pipeline-level parallel overloads: same results as the serial entry
-// points (they differ only in the engine they construct).
+// Pipeline entry points' trailing thread count: same results as at the
+// default T = 1 (the count only sizes the engine they construct).
 TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   const int n = 150;
   Graph g = UniformRandomTree(n, 6000);
@@ -346,7 +352,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   const int64_t space = int64_t{n} * n * n;
 
   LinialResult lin = RunLinial(g, ids, space);
-  LinialResult lin_p = RunLinialParallel(g, ids, space, 3);
+  LinialResult lin_p = RunLinial(g, ids, space, 3);
   EXPECT_EQ(lin_p.colors, lin.colors);
   EXPECT_EQ(lin_p.rounds, lin.rounds);
   EXPECT_EQ(lin_p.messages, lin.messages);
@@ -368,7 +374,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
     }
   }
   ColeVishkinResult cv = ColeVishkin3Color(g, ids, parent, space);
-  ColeVishkinResult cv_p = ColeVishkin3ColorParallel(g, ids, parent, space, 4);
+  ColeVishkinResult cv_p = ColeVishkin3Color(g, ids, parent, space, 4);
   EXPECT_EQ(cv_p.colors, cv.colors);
   EXPECT_EQ(cv_p.rounds, cv.rounds);
   EXPECT_EQ(cv_p.messages, cv.messages);
@@ -377,7 +383,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   MisProblem mis;
   DistributedSweepResult sweep =
       RunDistributedNodeSweep(mis, g, ids, lin.colors, lin.num_colors);
-  DistributedSweepResult sweep_p = RunDistributedNodeSweepParallel(
+  DistributedSweepResult sweep_p = RunDistributedNodeSweep(
       mis, g, ids, lin.colors, lin.num_colors, 2);
   EXPECT_EQ(sweep_p.rounds, sweep.rounds);
   EXPECT_EQ(sweep_p.messages, sweep.messages);
@@ -388,7 +394,7 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
   }
 
   Thm12Result thm = SolveNodeProblemOnTree(mis, g, ids, space, 4);
-  Thm12Result thm_p = SolveNodeProblemOnTreeParallel(mis, g, ids, space, 4, 3);
+  Thm12Result thm_p = SolveNodeProblemOnTree(mis, g, ids, space, 4, 3);
   EXPECT_TRUE(thm_p.valid);
   EXPECT_EQ(thm_p.rounds_total, thm.rounds_total);
   EXPECT_EQ(thm_p.engine_messages, thm.engine_messages);
@@ -415,7 +421,7 @@ TEST(ParallelNetworkTest, EpochWrapRearm) {
   DigestRunner want(n);
   serial.Run(want, 64);
 
-  ParallelNetwork par(g, ids, 3);
+  Network par(g, ids, 3);
   par.set_epoch_for_testing(INT32_MAX - 3);  // forces the pre-run re-arm
   DigestRunner got(n);
   par.Run(got, 64);

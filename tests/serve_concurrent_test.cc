@@ -663,7 +663,7 @@ TEST_F(ServeConcurrentTest, FullQueueRejectsThenDrainsAndAccepts) {
   server_->Stop();
 }
 
-// Engine-threads > 1 must not change any answer (the ParallelBatchNetwork
+// Engine-threads > 1 must not change any answer (the BatchNetwork
 // determinism contract, now load-bearing for serving).
 TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
   Server::Options opt;

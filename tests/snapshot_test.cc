@@ -17,7 +17,6 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/local/snapshot.h"
 #include "src/support/digest.h"
@@ -31,7 +30,6 @@ using local::Algorithm;
 using local::BatchNetwork;
 using local::Network;
 using local::NetworkOptions;
-using local::ParallelNetwork;
 using local::ReadSnapshot;
 using local::ReconstructGraph;
 using local::ReferenceNetwork;
@@ -133,10 +131,9 @@ TEST(SnapshotTest, ResumeBitIdentityMatrix) {
         ExpectResumeBitIdentical(
             g, k, pause, want,
             [&] {
-              return std::make_unique<ParallelNetwork>(g, ids, threads,
-                                                       relabel);
+              return std::make_unique<Network>(g, ids, threads, relabel);
             },
-            "ParallelNetwork T=" + std::to_string(threads));
+            "Network T=" + std::to_string(threads));
       }
       ExpectResumeBitIdentical(
           g, k, pause, want,
@@ -164,7 +161,7 @@ TEST(SnapshotTest, MidRunSnapshotsIdenticalAcrossEngines) {
   };
   record(std::make_unique<Network>(g, ids, plain));
   record(std::make_unique<Network>(g, ids, relabel));
-  record(std::make_unique<ParallelNetwork>(g, ids, 8, relabel));
+  record(std::make_unique<Network>(g, ids, 8, relabel));
   record(std::make_unique<ReferenceNetwork>(g, ids, plain));
   EXPECT_EQ(snaps[0].engine_kind, SnapshotEngineKind::kNetwork);
   EXPECT_EQ(snaps[2].engine_kind, SnapshotEngineKind::kParallelNetwork);
@@ -197,7 +194,7 @@ TEST(SnapshotTest, CrossEngineResume) {
     recordings.push_back(CheckpointBytes(*net));
   };
   record(std::make_unique<Network>(g, ids, relabel));
-  record(std::make_unique<ParallelNetwork>(g, ids, 4, plain));
+  record(std::make_unique<Network>(g, ids, 4, plain));
   record(std::make_unique<ReferenceNetwork>(g, ids, plain));
 
   auto finish_and_check = [&](auto net, const std::string& bytes) {
@@ -211,7 +208,7 @@ TEST(SnapshotTest, CrossEngineResume) {
   for (size_t i = 0; i < recordings.size(); ++i) {
     SCOPED_TRACE("recording " + std::to_string(i));
     finish_and_check(std::make_unique<Network>(g, ids, plain), recordings[i]);
-    finish_and_check(std::make_unique<ParallelNetwork>(g, ids, 8, relabel),
+    finish_and_check(std::make_unique<Network>(g, ids, 8, relabel),
                      recordings[i]);
     finish_and_check(std::make_unique<ReferenceNetwork>(g, ids, plain),
                      recordings[i]);
@@ -363,7 +360,7 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
     auto a1 = MakeRakeCompressAlgorithm(g, k);
     net.Run(*a1, kMaxRounds);
 
-    ParallelNetwork par(g, ids, 8, relabel);
+    Network par(g, ids, 8, relabel);
     auto a2 = MakeRakeCompressAlgorithm(g, k);
     par.Run(*a2, kMaxRounds);
 

@@ -2,8 +2,8 @@
 // contract): an Algorithm keeping its per-node state in the engine's plane
 // (StateBytes / InitState / NodeContext::State) must produce bit-identical
 // transcripts — extracted state, executed rounds, message counts, per-round
-// RoundStats — across all five engines (ReferenceNetwork, Network,
-// ParallelNetwork, BatchNetwork, ParallelBatchNetwork), with
+// RoundStats — across the engine family (ReferenceNetwork, Network at
+// T = 1 and above, BatchNetwork at T = 1 and above), with
 // NetworkOptions::relabel on and off, T in {1, 2, 8}, multi-component
 // forests, mid-run halts (round-0 halts included), and engine reuse with
 // re-armed planes (same and different slot sizes back to back).
@@ -15,7 +15,6 @@
 #include "src/core/rake_compress.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/support/rng.h"
 
@@ -28,8 +27,6 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelBatchNetwork;
-using local::ParallelNetwork;
 using local::ReferenceNetwork;
 using local::RoundStats;
 
@@ -142,15 +139,15 @@ void ExpectMatrixMatches(const Graph& g, const std::vector<int64_t>& ids) {
     Network net(g, ids, opt);
     EXPECT_EQ(RunOn(net, g, ids), want) << "Network relabel=" << relabel;
     for (int threads : {1, 2, 8}) {
-      ParallelNetwork par(g, ids, threads, opt);
+      Network par(g, ids, threads, opt);
       EXPECT_EQ(RunOn(par, g, ids), want)
-          << "ParallelNetwork T=" << threads << " relabel=" << relabel;
+          << "Network T=" << threads << " relabel=" << relabel;
     }
   }
 
   for (int threads : {1, 2, 8}) {
     const int batch = 3;
-    ParallelBatchNetwork bat(g, ids, batch, threads);
+    BatchNetwork bat(g, ids, batch, threads);
     for (int b = 0; b < batch; ++b) {
       EXPECT_EQ(RunInstanceOnBatch(bat, g, ids, b), want)
           << "BatchNetwork instance " << b << " T=" << threads;
@@ -252,7 +249,7 @@ TEST(StatePlaneReuse, BatchReArmAndUniformStrideCheck) {
   Graph g = UniformRandomTree(n, 920);
   auto ids = DefaultIds(n, 921);
 
-  ParallelBatchNetwork net(g, ids, 2, 2);
+  BatchNetwork net(g, ids, 2, 2);
   const Outcome first = RunInstanceOnBatch(net, g, ids, 0);
   EXPECT_EQ(RunInstanceOnBatch(net, g, ids, 1), first);
 
@@ -288,12 +285,12 @@ TEST(StatePlaneMatrix, RakeCompressAcrossAllEngines) {
       Network net(g, ids, opt);
       same(RunRakeCompress(net, k));
       for (int threads : {1, 2, 8}) {
-        ParallelNetwork par(g, ids, threads, opt);
+        Network par(g, ids, threads, opt);
         same(RunRakeCompress(par, k));
       }
     }
     for (int threads : {1, 2}) {
-      ParallelBatchNetwork bat(g, ids, 2, threads);
+      BatchNetwork bat(g, ids, 2, threads);
       for (const RakeCompressResult& got :
            RunRakeCompressBatch(bat, {k, k})) {
         same(got);

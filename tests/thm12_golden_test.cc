@@ -101,8 +101,8 @@ TEST_P(Thm12GoldenTest, ParallelTwoThreads) {
   for (const Golden& g : Rows()) {
     SCOPED_TRACE(g.k);
     ExpectGolden(tree_,
-                 SolveNodeProblemOnTreeParallel(Problem(), tree_, ids_,
-                                                id_space_, g.k, 2),
+                 SolveNodeProblemOnTree(Problem(), tree_, ids_, id_space_,
+                                        g.k, 2),
                  g);
   }
 }

@@ -1,8 +1,8 @@
-// Unit tests for the fork/join worker pool behind the parallel engines:
+// Unit tests for the fork/join worker pool behind the sharded engines:
 // correct task coverage at any num_tasks/lane ratio, reuse across many
 // fork/join cycles (no respawn, no state leak), exception propagation to
-// the caller with the pool usable afterwards, and rejection of nested
-// ParallelFor calls.
+// the caller with the pool usable afterwards, rejection of nested
+// ParallelFor calls, and rejection of lane counts outside [1, kMaxThreads].
 #include "src/support/thread_pool.h"
 
 #include <gtest/gtest.h>
@@ -104,6 +104,14 @@ TEST(ThreadPoolTest, NestedParallelForThrows) {
 TEST(ThreadPoolTest, RejectsNonPositiveLaneCount) {
   EXPECT_THROW(ThreadPool(0), std::invalid_argument);
   EXPECT_THROW(ThreadPool(-2), std::invalid_argument);
+}
+
+// Lane counts come from command lines; one past the cap must be rejected
+// before a single worker starts (the check precedes the spawn loop). Only
+// cap + 1 is tried: a larger count would start that many threads if the
+// check ever regressed.
+TEST(ThreadPoolTest, RejectsLaneCountAboveCap) {
+  EXPECT_THROW(ThreadPool(ThreadPool::kMaxThreads + 1), std::invalid_argument);
 }
 
 TEST(ThreadPoolTest, UnevenWorkStealsAcrossLanes) {

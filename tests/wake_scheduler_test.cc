@@ -23,7 +23,6 @@
 
 #include "src/graph/generators.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/support/fault.h"
 #include "src/support/rng.h"
@@ -39,8 +38,6 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::ParallelBatchNetwork;
-using local::ParallelNetwork;
 using local::ReferenceNetwork;
 
 constexpr int kMaxRounds = 1 << 20;
@@ -212,7 +209,7 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     for (bool relabel : {false, true}) {
       NetworkOptions opt;
       opt.relabel = relabel;
-      ParallelNetwork net(g, ids, t, opt);
+      Network net(g, ids, t, opt);
       StagedSweep alg(K, 7);
       EXPECT_EQ(net.Run(alg, kMaxRounds), K);
       EXPECT_TRUE(net.wake_scheduled());
@@ -236,7 +233,7 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     BatchNetwork batch(g, ids, 3, 2);
     batch.Run({&a0, &a1, &a2}, kMaxRounds);
     EXPECT_TRUE(batch.wake_scheduled());
-    ParallelBatchNetwork pbatch(g, ids, 3, 2);
+    BatchNetwork pbatch(g, ids, 3, 2);
     StagedSweep b0(K, 7), b1(K, 5), b2(K, 11);
     pbatch.Run({&b0, &b1, &b2}, kMaxRounds);
     EXPECT_TRUE(pbatch.wake_scheduled());
@@ -282,7 +279,7 @@ TEST(WakeSchedulerTest, MessageWakesParkedNodeAndReParkHolds) {
   const Transcript want = Capture(base);
 
   for (int t : {1, 3}) {
-    ParallelNetwork net(g, ids, t);
+    Network net(g, ids, t);
     StarPoke alg;
     EXPECT_EQ(net.Run(alg, kMaxRounds), rounds);
     const Transcript got = Capture(net);
@@ -329,7 +326,7 @@ TEST(WakeSchedulerTest, SleepPastMaxRoundsIsStructuredNotAHang) {
   };
   Network serial(g, ids);
   drill(serial);
-  ParallelNetwork parallel(g, ids, 2);
+  Network parallel(g, ids, 2);
   drill(parallel);
   ReferenceNetwork reference(g, ids);
   drill(reference);
@@ -408,10 +405,45 @@ TEST(WakeSchedulerTest, EngineReuseRearmsCalendarAndDedupStamps) {
   };
   Network serial(g, ids);
   drill(serial);
-  ParallelNetwork parallel(g, ids, 3);
+  Network parallel(g, ids, 3);
   drill(parallel);
   ReferenceNetwork reference(g, ids);
   drill(reference);
+}
+
+// A scheduled run that parks nodes arms the Send-side wake hook; the next
+// always-visit run on the same engine must send through the plain path
+// (its shards keep no wake-candidate lists), with the transcript of a fresh
+// engine.
+TEST(WakeSchedulerTest, AlwaysVisitRunAfterParkedRunSendsNormally) {
+  class Flood : public Algorithm {
+   public:
+    void OnRound(NodeContext& ctx) override {
+      if (ctx.round() >= 3) {
+        ctx.Halt();
+        return;
+      }
+      ctx.Broadcast(Message::Of(ctx.id() + ctx.round()));
+    }
+  };
+  const int n = 60;
+  const Graph g = Star(n);
+  const auto ids = DefaultIds(n, 29);
+  Network fresh(g, ids);
+  Flood want_alg;
+  fresh.Run(want_alg, kMaxRounds);
+  const Transcript want = Capture(fresh);
+  for (int t : {1, 3}) {
+    Network net(g, ids, t);
+    StarPoke poke;
+    net.Run(poke, kMaxRounds);
+    ASSERT_GT(net.wakes(), 0);  // the hook was armed
+    Flood flood;
+    net.Run(flood, kMaxRounds);
+    const Transcript got = Capture(net);
+    ExpectSameTranscript(got, want);
+    EXPECT_EQ(got.visits, want.visits) << "T=" << t;
+  }
 }
 
 TEST(WakeSchedulerTest, MidSweepCheckpointResumesAcrossEnginesAndModes) {
@@ -445,7 +477,7 @@ TEST(WakeSchedulerTest, MidSweepCheckpointResumesAcrossEnginesAndModes) {
   }
   {
     // Different engine, scheduled resume.
-    ParallelNetwork net(g, ids, 2);
+    Network net(g, ids, 2);
     StagedSweep alg(K, 7);
     ResumeBytes(net, mid);
     EXPECT_EQ(net.Run(alg, kMaxRounds), K);

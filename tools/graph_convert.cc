@@ -20,6 +20,8 @@
 //
 //   graph_convert solve <in.cgr> --k K [--engine network|parallel|reference]
 //                       [--threads T] [--relabel] [--load]
+//       `network` is the solo engine on one thread, `parallel` the same
+//       engine on T lanes (default 2, at most ThreadPool::kMaxThreads).
 //       Open the .cgr (mmap by default; --load reads + fully validates it
 //       in memory), run rake-compress with parameter k under iota ids, and
 //       print rounds / messages / final_digest — byte-comparable to the
@@ -46,8 +48,8 @@
 #include "src/graph/compact_graph.h"
 #include "src/graph/generators.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
+#include "src/support/thread_pool.h"
 
 namespace {
 
@@ -442,16 +444,15 @@ int Solve(const SolveOptions& opt) {
   const int bound = treelocal::RakeCompressIterationBound(
       std::max(g.NumNodes(), 1), opt.k);
   const int max_rounds = 3 * (2 * bound + 8);
-  if (opt.engine == "parallel") {
-    treelocal::local::ParallelNetwork net(g, ids, opt.threads, nopt);
-    return SolveOn(net, *alg, max_rounds);
-  }
   if (opt.engine == "reference") {
     treelocal::local::ReferenceNetwork net(g, ids, nopt);
     return SolveOn(net, *alg, max_rounds);
   }
-  if (opt.engine != "network") Usage("unknown engine '" + opt.engine + "'");
-  treelocal::local::Network net(g, ids, nopt);
+  if (opt.engine != "network" && opt.engine != "parallel") {
+    Usage("unknown engine '" + opt.engine + "'");
+  }
+  treelocal::local::Network net(
+      g, ids, opt.engine == "parallel" ? opt.threads : 1, nopt);
   return SolveOn(net, *alg, max_rounds);
 }
 
@@ -504,6 +505,12 @@ int main(int argc, char** argv) {
           opt.engine = need(i++);
         } else if (a == "--threads") {
           opt.threads = std::stoi(need(i++));
+          if (opt.threads < 1 ||
+              opt.threads > treelocal::support::ThreadPool::kMaxThreads) {
+            Usage("--threads must be in [1, " +
+                  std::to_string(treelocal::support::ThreadPool::kMaxThreads) +
+                  "]");
+          }
         } else if (a == "--relabel") {
           opt.relabel = true;
         } else if (a == "--load") {

@@ -26,7 +26,9 @@
 //       digest matches (the CI digest gate compares a replayed-from-round-R
 //       run against the uninterrupted recording this way).
 //
-// Engines: --engine network (default) | parallel | reference. The snapshot
+// Engines: --engine network (default) | parallel | reference; `network` is
+// the solo engine on one thread, `parallel` the same engine on --threads
+// lanes (default 2, at most ThreadPool::kMaxThreads). The snapshot
 // is canonical, so any engine x relabel x thread-count combination can pick
 // up any recording — replaying on a different engine than the recorder is
 // exactly the cross-engine resume contract the tests enforce.
@@ -45,9 +47,9 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/local/network.h"
-#include "src/local/parallel_network.h"
 #include "src/local/reference_network.h"
 #include "src/local/snapshot.h"
+#include "src/support/thread_pool.h"
 
 namespace {
 
@@ -119,6 +121,12 @@ Options Parse(int argc, char** argv) {
       opt.pause = std::stoi(need(i++));
     } else if (a == "--threads") {
       opt.threads = std::stoi(need(i++));
+      if (opt.threads < 1 ||
+          opt.threads > treelocal::support::ThreadPool::kMaxThreads) {
+        Usage("--threads must be in [1, " +
+              std::to_string(treelocal::support::ThreadPool::kMaxThreads) +
+              "]");
+      }
     } else if (a == "--max-rounds") {
       opt.max_rounds = std::stoi(need(i++));
     } else if (a == "--relabel") {
@@ -247,15 +255,12 @@ int Drive(const Graph& g, const std::vector<int64_t>& ids, const Options& opt,
         treelocal::RakeCompressIterationBound(std::max(g.NumNodes(), 1), opt.k);
     max_rounds = 3 * (2 * bound + 8);
   }
-  if (opt.engine == "parallel") {
-    treelocal::local::ParallelNetwork net(g, ids, opt.threads, nopt);
-    return RunOnEngine(net, opt, *alg, max_rounds, resume, in_path);
-  }
   if (opt.engine == "reference") {
     treelocal::local::ReferenceNetwork net(g, ids, nopt);
     return RunOnEngine(net, opt, *alg, max_rounds, resume, in_path);
   }
-  treelocal::local::Network net(g, ids, nopt);
+  treelocal::local::Network net(
+      g, ids, opt.engine == "parallel" ? opt.threads : 1, nopt);
   return RunOnEngine(net, opt, *alg, max_rounds, resume, in_path);
 }
 
@@ -307,7 +312,12 @@ int Replay(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const Options opt = Parse(argc, argv);
+  Options opt;
+  try {
+    opt = Parse(argc, argv);
+  } catch (const std::exception& e) {  // std::stoi on a non-number
+    Usage(std::string("bad numeric argument (") + e.what() + ")");
+  }
   try {
     if (opt.mode == "record") return Record(opt);
     if (opt.mode == "check") return Check(opt);

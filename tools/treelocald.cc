@@ -21,6 +21,7 @@
 #include <thread>
 
 #include "src/serve/server.h"
+#include "src/support/thread_pool.h"
 
 namespace {
 
@@ -65,6 +66,10 @@ int main(int argc, char** argv) {
   }
   if (opt.max_batch < 1 || opt.slice_rounds < 1 || opt.engine_threads < 1) {
     Usage("--max-batch, --slice, and --threads must be >= 1");
+  }
+  if (opt.engine_threads > treelocal::support::ThreadPool::kMaxThreads) {
+    Usage("--threads must be <= " +
+          std::to_string(treelocal::support::ThreadPool::kMaxThreads));
   }
 
   // Route SIGINT/SIGTERM to a dedicated sigwait thread so shutdown runs on
