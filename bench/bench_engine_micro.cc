@@ -197,6 +197,8 @@ bool MeasureRakeCompress(const std::string& family, const Graph& tree,
                          fast.messages == ref.messages &&
                          fast.round_stats == ref.round_stats;
   const double speedup = ref_s / fast_s;
+  const double ns_per_message =
+      fast_s * 1e9 / static_cast<double>(std::max<int64_t>(fast.messages, 1));
 
   // Per-round trajectory: active nodes and measured cost. The optimized
   // engine's per-round cost must decay with active_nodes; the tail rounds
@@ -229,6 +231,7 @@ bool MeasureRakeCompress(const std::string& family, const Graph& tree,
   json.Field("optimized_seconds", fast_s);
   json.Field("reference_seconds", ref_s);
   json.Field("speedup", speedup);
+  json.Field("ns_per_message", ns_per_message);
   json.Field("optimized_rounds_per_sec", fast.engine_rounds / fast_s);
   json.Field("reference_rounds_per_sec", ref.engine_rounds / ref_s);
   json.Field("transcripts_identical", identical);
@@ -237,12 +240,14 @@ bool MeasureRakeCompress(const std::string& family, const Graph& tree,
   json.Field("round_seconds", fast_round_s);
   json.Field("head_mean_round_seconds", head_cost_per_round);
   json.Field("tail_mean_round_seconds", tail_cost_per_round);
+  bench::HostFields(json);
 
   std::cout << "  rounds=" << fast.engine_rounds
             << " messages=" << fast.messages << " identical="
             << (identical ? "yes" : "NO (BUG)") << "\n"
             << "  optimized: " << fast_s << " s   reference: " << ref_s
-            << " s   speedup: " << speedup << "x\n"
+            << " s   speedup: " << speedup << "x   ns/message: "
+            << ns_per_message << "\n"
             << "  per-round cost head/tail: " << head_cost_per_round << " / "
             << tail_cost_per_round << " s (active "
             << (active.empty() ? 0 : active.front()) << " -> "

@@ -21,6 +21,23 @@ namespace {
 // round and every "sleeps past round r" test (w > r) stays false for it.
 constexpr int32_t InBucket(int round) { return ~round; }
 
+// Worklist look-ahead of the round loops' send prefetch: while visiting
+// entry idx, the loops write-prefetch the outbox slots that entry
+// idx + kSendLookahead will send on. On a badly-labeled tree each send
+// lands on a random mailbox line, and Send loads that line's stamp before
+// it writes, so without the prefetch every message out of cache pays one
+// dependent DRAM load. 8, 16 and 32 time alike on the 2^20-node engine
+// micro run; the smallest leaves the fewest visits of a shard unprefetched.
+constexpr int kSendLookahead = 8;
+
+// Write-prefetches the outbox slot of every send channel of rank i.
+inline void PrefetchSends(const int* first, const int* send_chan,
+                          const Message* outbox, int i) {
+  for (int c = first[i]; c < first[i + 1]; ++c) {
+    __builtin_prefetch(outbox + send_chan[c], 1);
+  }
+}
+
 }  // namespace
 
 MaxRoundsExceededError::MaxRoundsExceededError(const std::string& engine,
@@ -478,6 +495,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       Shard& sh = shards_[t];
       int* const work = active_.data();
       const int* const order = order_.data();
+      const int* const first = first_.data();
+      const int* const send_chan = send_chan_.data();
+      const Message* const outbox = outbox_.data();
       const char* const halted = halted_.data();
       int32_t* const wake = wake_round_.data();
       unsigned char* const base = state_base;
@@ -490,6 +510,11 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
       int halts = 0;
       int kept = lo;
       for (int idx = lo; idx < hi; ++idx) {
+        // Entries past idx are still this shard's own and not yet
+        // rewritten by its compaction, so reading ahead is race-free.
+        if (idx + kSendLookahead < hi) {
+          PrefetchSends(first, send_chan, outbox, work[idx + kSendLookahead]);
+        }
         const int i = work[idx];
         const int v = order[i];
         assert(!halted[v] && wake[i] == InBucket(round));
@@ -618,6 +643,9 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     Shard& sh = shards_[t];
     int* const work = active_.data();
     const int* const order = order_.data();
+    const int* const first = first_.data();
+    const int* const send_chan = send_chan_.data();
+    const Message* const outbox = outbox_.data();
     const char* const halted = halted_.data();
     unsigned char* const base = state_base;
     const size_t slot = stride;
@@ -626,6 +654,10 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
     int64_t decisions = 0;
     int kept = lo;
     for (int idx = lo; idx < hi; ++idx) {
+      // Race-free as in the scheduled body: past idx is this shard's own.
+      if (idx + kSendLookahead < hi) {
+        PrefetchSends(first, send_chan, outbox, work[idx + kSendLookahead]);
+      }
       const int i = work[idx];
       const int v = order[i];
       ctx.node_ = v;

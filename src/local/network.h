@@ -428,13 +428,18 @@ class Algorithm {
 //     offsets indexed by internal rank. Channels are indexed by the
 //     RECEIVER's CSR slot: Recv(v, p) is a single sequential load of v's own
 //     slot first_[i] + p, i = v's rank (ports scan contiguously, so the
-//     prefetcher covers per-node inbox scans), while Send(v, p) stores
-//     through the precomputed send_chan_ table to the reverse half-edge — a
-//     random store, which the store buffer absorbs without stalling, unlike
-//     the random load a sender-indexed layout would put in Recv. No
-//     IncidentEdges/EndpointSlot recomputation on the hot path. With
-//     NetworkOptions::relabel the blocks are laid out in BFS order, which
-//     shortens the stride of those random stores on badly-labeled inputs.
+//     prefetcher covers per-node inbox scans), while Send(v, p) goes
+//     through the precomputed send_chan_ table to the reverse half-edge's
+//     slot. That access is random, and it is a load, not just a store:
+//     Send reads the slot's engine_stamp to detect a second write on the
+//     channel. On a tree whose neighbors have distant ids (a uniform tree)
+//     that is one dependent DRAM load per message once the mailboxes
+//     outgrow the cache. The round loops hide it: while visiting worklist
+//     entry idx they write-prefetch the send slots of entry idx + 8, within
+//     the shard's own range. No IncidentEdges/EndpointSlot recomputation
+//     on the hot path. With NetworkOptions::relabel the blocks are laid out
+//     in BFS order, which shortens the stride of those random accesses on
+//     badly-labeled inputs.
 //   * Epoch-stamped mailboxes: each channel carries the epoch at which it was
 //     last written. A message is visible iff its stamp equals the previous
 //     epoch. This removes the per-round O(2m) outbox clear and the O(2m)

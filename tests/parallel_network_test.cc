@@ -7,13 +7,15 @@
 // NetworkOptions::relabel bit-identity contract, engine reuse, exception
 // propagation out of sharded rounds, the pipeline entry points' thread
 // parameter (rake-compress, Linial, Cole-Vishkin, distributed sweep,
-// Theorem 12), and rejection of thread counts outside the pool's range.
+// Theorem 12), rejection of thread counts outside the pool's range, and
+// the round loops' send look-ahead at shard boundaries.
 #include "src/local/network.h"
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "src/algos/cole_vishkin.h"
@@ -22,6 +24,7 @@
 #include "src/core/rake_compress.h"
 #include "src/core/transform_node.h"
 #include "src/graph/generators.h"
+#include "src/local/reference_network.h"
 #include "src/problems/mis.h"
 #include "src/support/rng.h"
 
@@ -34,6 +37,7 @@ using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
 using local::BatchNetwork;
+using local::ReferenceNetwork;
 using local::RoundStats;
 
 // Message-dependent transcript with staggered, id-dependent halts (nodes
@@ -427,6 +431,92 @@ TEST(ParallelNetworkTest, EpochWrapRearm) {
   par.Run(got, 64);
   EXPECT_EQ(got.digest_, want.digest_);
   EXPECT_EQ(par.messages_delivered(), serial.messages_delivered());
+}
+
+// Wake-scheduled echo: even nodes act every round and broadcast every
+// third; odd nodes sleep until kRounds and wake only on a message, which
+// they echo before sleeping again.
+class WakeEcho : public Algorithm {
+ public:
+  static constexpr int kRounds = 10;
+  size_t StateBytes() const override { return sizeof(uint64_t); }
+  bool WakeScheduled() const override { return true; }
+  int InitialWakeRound(int node) const override {
+    return node % 2 == 0 ? 0 : kRounds;
+  }
+  void InitState(int node, void* state) override {
+    *static_cast<uint64_t*>(state) = node * 2654435761ULL + 1;
+  }
+  void OnRound(NodeContext& ctx) override {
+    uint64_t& acc = ctx.State<uint64_t>();
+    bool got = false;
+    for (int p = 0; p < ctx.degree(); ++p) {
+      const Message& m = ctx.Recv(p);
+      if (m.present()) {
+        acc = acc * 31 + static_cast<uint64_t>(m.word0) +
+              static_cast<uint64_t>(m.word1) + static_cast<uint64_t>(p);
+        got = true;
+      }
+    }
+    if (ctx.round() >= kRounds) {
+      ctx.Halt();
+      return;
+    }
+    const auto word = static_cast<int64_t>(acc & 0x7fffffff);
+    if (ctx.node() % 2 == 0) {
+      if (ctx.round() % 3 == 0) ctx.Broadcast(Message::Of(word, ctx.round()));
+      return;
+    }
+    if (got) ctx.Broadcast(Message::Of(word, -ctx.round()));
+    ctx.SleepUntil(kRounds);
+  }
+};
+
+// Both round loops write-prefetch the sends of the worklist entry 8 ahead,
+// bounded by the shard's own range. Shards shorter than, equal to and just
+// past that look-ahead, on the always-visit loop (rake-compress) and the
+// wake-scheduled one, must keep the reference engine's content digest
+// chain at every thread count, with relabel off and on.
+TEST(ParallelNetworkTest, SendLookaheadShardBoundariesMatchReference) {
+  constexpr int kLookahead = 8;
+  NetworkOptions digest;
+  digest.digest_messages = true;
+  for (int n : {1, 2, kLookahead - 1, kLookahead, kLookahead + 1,
+                2 * kLookahead + 1}) {
+    for (int shape = 0; shape < 2; ++shape) {
+      const Graph g = shape == 0 ? Path(n) : Star(n);
+      const auto ids = DefaultIds(n, 8000 + 2 * n + shape);
+      ReferenceNetwork ref_rc(g, ids, digest);
+      const RakeCompressResult want_rc = RunRakeCompress(ref_rc, 2);
+      ReferenceNetwork ref_wake(g, ids, digest);
+      WakeEcho ref_echo;
+      const int want_rounds = ref_wake.Run(ref_echo, 64);
+      for (int threads : {1, 2, 3, 4}) {
+        for (bool relabel : {false, true}) {
+          NetworkOptions opt = digest;
+          opt.relabel = relabel;
+          const std::string tag = std::string(shape == 0 ? "path" : "star") +
+                                  " n=" + std::to_string(n) +
+                                  " T=" + std::to_string(threads) +
+                                  (relabel ? " relabel" : "");
+          Network rc(g, ids, threads, opt);
+          const RakeCompressResult got_rc = RunRakeCompress(rc, 2);
+          EXPECT_EQ(got_rc.compressed, want_rc.compressed) << tag;
+          EXPECT_EQ(got_rc.messages, want_rc.messages) << tag;
+          EXPECT_EQ(rc.round_digests(), ref_rc.round_digests()) << tag;
+          Network wake(g, ids, threads, opt);
+          WakeEcho echo;
+          EXPECT_EQ(wake.Run(echo, 64), want_rounds) << tag;
+          EXPECT_EQ(wake.messages_delivered(), ref_wake.messages_delivered())
+              << tag;
+          EXPECT_EQ(wake.round_digests(), ref_wake.round_digests()) << tag;
+          if (n >= 2) {
+            EXPECT_GT(wake.wakes(), 0) << tag << " never woke";
+          }
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

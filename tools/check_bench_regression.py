@@ -22,6 +22,9 @@ floor bounds on the acceptance ratios:
     must stay transcript-identical with scheduling on vs off
     (`scheduler_identical`), and the scheduled visit count must stay
     within VISIT_RATIO_BOUND of decisions + message wakes;
+  * host stamps: experiments whose wall-clock numbers are quoted across
+    changes (HOST_STAMPED_EXPERIMENTS) must carry the bench::HostFields
+    fields, since a timing without its machine compares with nothing;
   * compressed-backend bounds: per-record backstops on
     `compact_bytes_per_edge` / `compact_ratio`, identity gating of the
     compression numbers, and a demonstration floor (<= 6 bytes/edge,
@@ -106,6 +109,12 @@ ACCEPTANCE_FLOORS = {
 }
 
 
+# Fields bench::HostFields writes, and the experiments that must carry them.
+HOST_FIELDS = ("host_nproc", "host_cpu_model", "host_compiler",
+               "host_build_type")
+HOST_STAMPED_EXPERIMENTS = {"rake_compress_engine_acceptance"}
+
+
 def fail(msgs, record, what):
     src = record.get("source", "?")
     exp = record.get("experiment", "?")
@@ -170,6 +179,12 @@ def check_record(rec, msgs):
                 )
 
     exp = rec.get("experiment")
+    if exp in HOST_STAMPED_EXPERIMENTS:
+        missing = [f for f in HOST_FIELDS if f not in rec]
+        if missing:
+            fail(msgs, rec, "lacks host fields " + ", ".join(missing) +
+                 " — a timing without its machine compares with nothing")
+
     floor = SPEEDUP_FLOORS.get(exp)
     if rec.get("acceptance") is True and exp in ACCEPTANCE_FLOORS:
         floor = ACCEPTANCE_FLOORS[exp]

@@ -30,12 +30,14 @@
 //       is reported so the out-of-core claim is checkable from the log.
 #include <algorithm>
 #include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <numeric>
 #include <queue>
@@ -69,6 +71,23 @@ using treelocal::CompactGraphError;
          "caterpillar binary\n"
          "engines: network parallel reference\n";
   std::exit(2);
+}
+
+constexpr int64_t kIntMax = std::numeric_limits<int>::max();
+
+// Parses all of `s` as a decimal integer in [lo, hi]. Anything else — a
+// non-number, trailing junk, overflow — is a usage error naming `what`
+// (the flag or gen field), never a bare "stoi" from the library.
+int64_t ParseInt(const std::string& s, const std::string& what, int64_t lo,
+                 int64_t hi) {
+  int64_t v = 0;
+  const char* const end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
+  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
+    Usage(what + " must be in [" + std::to_string(lo) + ", " +
+          std::to_string(hi) + "], got '" + s + "'");
+  }
+  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -302,24 +321,31 @@ int64_t StreamGenerator(const std::string& spec, ArcSorter& sorter) {
     if (colon == std::string::npos) break;
     pos = colon + 1;
   }
-  auto arg = [&](size_t i) -> int64_t {
+  auto arg = [&](size_t i, const char* field, int64_t lo, int64_t hi) {
     if (i >= parts.size()) Usage("gen spec '" + spec + "' is missing fields");
-    return std::stoll(parts[i]);
+    return ParseInt(parts[i], "gen spec '" + spec + "' field <" + field + ">",
+                    lo, hi);
+  };
+  // Counts must fit an int; a seed is any int64.
+  const auto count = [&](size_t i, const char* field) {
+    return static_cast<int>(arg(i, field, 0, kIntMax));
+  };
+  const auto seed = [&](size_t i) {
+    return static_cast<uint64_t>(arg(i, "seed",
+                                     std::numeric_limits<int64_t>::min(),
+                                     std::numeric_limits<int64_t>::max()));
   };
   const auto emit = [&](int u, int v) {
     AddEdge(sorter, u, v, -1, [&] { return "gen '" + spec + "'"; });
   };
   if (parts[0] == "forest_union") {
-    const int64_t n = arg(1), a = arg(2), seed = arg(3);
-    treelocal::ForestUnionStreamed(static_cast<int>(n), static_cast<int>(a),
-                                   static_cast<uint64_t>(seed), emit);
+    const int n = count(1, "n");
+    treelocal::ForestUnionStreamed(n, count(2, "a"), seed(3), emit);
     return n;
   }
   for (treelocal::TreeFamily f : treelocal::AllTreeFamilies()) {
     if (treelocal::TreeFamilyName(f) == parts[0]) {
-      const int64_t n = arg(1), seed = arg(2);
-      return treelocal::MakeTreeStreamed(f, static_cast<int>(n),
-                                         static_cast<uint64_t>(seed), emit);
+      return treelocal::MakeTreeStreamed(f, count(1, "n"), seed(2), emit);
     }
   }
   Usage("unknown gen family '" + parts[0] + "'");
@@ -479,10 +505,9 @@ int main(int argc, char** argv) {
         } else if (a == "--binary") {
           opt.binary = true;
         } else if (a == "--nodes") {
-          opt.nodes = std::stoll(need(i++));
+          opt.nodes = ParseInt(need(i++), a, 0, kMaxNode + 1);
         } else if (a == "--chunk-mb") {
-          opt.chunk_mb = std::stoi(need(i++));
-          if (opt.chunk_mb < 1) Usage("--chunk-mb must be >= 1");
+          opt.chunk_mb = static_cast<int>(ParseInt(need(i++), a, 1, kIntMax));
         } else {
           Usage("unknown convert flag '" + a + "'");
         }
@@ -500,17 +525,12 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--k") {
-          opt.k = std::stoi(need(i++));
+          opt.k = static_cast<int>(ParseInt(need(i++), a, 2, kIntMax));
         } else if (a == "--engine") {
           opt.engine = need(i++);
         } else if (a == "--threads") {
-          opt.threads = std::stoi(need(i++));
-          if (opt.threads < 1 ||
-              opt.threads > treelocal::support::ThreadPool::kMaxThreads) {
-            Usage("--threads must be in [1, " +
-                  std::to_string(treelocal::support::ThreadPool::kMaxThreads) +
-                  "]");
-          }
+          opt.threads = static_cast<int>(ParseInt(
+              need(i++), a, 1, treelocal::support::ThreadPool::kMaxThreads));
         } else if (a == "--relabel") {
           opt.relabel = true;
         } else if (a == "--load") {
