@@ -1,12 +1,14 @@
-// Experiment E12: batched multi-instance engine throughput. Runs the
-// k-ablation rake-compress sweep (the engine-bound phase of every Theorem
-// 12/15 pipeline) two ways over one shared topology:
-//   * sequential: one reusable Network, one Run per k;
-//   * batched: one BatchNetwork with B = |ks| instances, one engine pass.
-// Verifies the batch is bit-identical to the sequential runs per instance
-// (outputs, per-instance round counts, message counts, per-round stats) —
-// the process exits non-zero on any divergence, which is what CI gates on —
-// and records the throughput ratio in BENCH_engine.json.
+// Experiment E12: multi-instance throughput over one shared topology. Two
+// measurements, each gated on bit-identity with solo Network runs:
+//   * batched_k_sweep_dedup: a rake-compress k-sweep (the engine-bound
+//     phase of every Theorem 12/15 pipeline) on one reused Network, run
+//     once per k vs once per distinct RakeCompressCanonicalK with the
+//     results fanned back out — the saving the daemon's coalesced passes
+//     and the Thm 12 k-sweep get from canonical-k dedup;
+//   * bitplane_cv_batch: B = 64 Cole-Vishkin instances as bit-plane lanes
+//     vs B solo scalar ColeVishkin3Color runs.
+// The process exits non-zero on any divergence, which is what CI gates on,
+// and records the throughput ratios in BENCH_engine.json.
 #include <algorithm>
 #include <chrono>
 #include <cstdlib>
@@ -21,6 +23,7 @@
 #include "src/graph/generators.h"
 #include "src/local/bitplane.h"
 #include "src/local/network.h"
+#include "src/support/digest.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
@@ -39,118 +42,47 @@ bool Identical(const RakeCompressResult& a, const RakeCompressResult& b) {
          a.round_stats == b.round_stats;
 }
 
-// Returns true iff the batched transcripts matched the sequential ones.
-bool RunBatchAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
+// Shared-transcript dedup acceptance: a k-sweep whose tail sits at or above
+// Delta (every such k provably shares one transcript). Both sides run on
+// one pre-constructed, warmed, reusable engine and take best-of-reps, so
+// the comparison is round throughput: B runs (one per k) against U runs
+// (one per canonical k) plus the fan-out copy. Gates the fanned-out
+// results' bit-identity against the per-k runs.
+bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
                         const std::vector<int>& ks, int reps,
                         bench::JsonWriter& json) {
   const int n = tree.NumNodes();
-  const int batch = static_cast<int>(ks.size());
-  std::cout << "Batch acceptance: rake-compress k-sweep on a " << n
-            << "-node uniform tree, B=" << batch << " instances\n";
-
-  // Both sides use one pre-constructed, reusable engine and best-of-reps
-  // timing after a warmup pass, so the comparison is round throughput, not
-  // construction or page-fault traffic.
-  local::Network seq_net(tree, ids);
-  std::vector<RakeCompressResult> seq(batch);
-  for (int b = 0; b < batch; ++b) seq[b] = RunRakeCompress(seq_net, ks[b]);
-  double seq_s = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto t0 = Clock::now();
-    for (int b = 0; b < batch; ++b) seq[b] = RunRakeCompress(seq_net, ks[b]);
-    seq_s = std::min(seq_s, Seconds(t0));
-  }
-
-  local::BatchNetwork batch_net(tree, ids, batch);
-  std::vector<RakeCompressResult> batched = RunRakeCompressBatch(batch_net, ks);
-  double batch_s = 1e300;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto t0 = Clock::now();
-    batched = RunRakeCompressBatch(batch_net, ks);
-    batch_s = std::min(batch_s, Seconds(t0));
-  }
-
-  bool identical = true;
-  for (int b = 0; b < batch; ++b) identical &= Identical(seq[b], batched[b]);
-  const double speedup = seq_s / batch_s;
-
-  std::vector<int64_t> rounds, messages;
-  for (const auto& r : batched) {
-    rounds.push_back(r.engine_rounds);
-    messages.push_back(r.messages);
-  }
-
-  json.BeginRecord();
-  json.Field("source", "bench_batch");
-  json.Field("experiment", "batched_k_sweep_rake_compress");
-  json.Field("family", "uniform-random");
-  json.Field("n", n);
-  json.Field("edges", tree.NumEdges());
-  json.Field("batch", batch);
-  json.Field("ks", ks);
-  json.Field("sequential_seconds", seq_s);
-  json.Field("batch_seconds", batch_s);
-  json.Field("speedup", speedup);
-  json.Field("transcripts_identical", identical);
-  json.Field("instance_rounds", rounds);
-  json.Field("instance_messages", messages);
-
-  std::cout << "  identical=" << (identical ? "yes" : "NO (BUG)")
-            << "  sequential: " << seq_s << " s   batched: " << batch_s
-            << " s   throughput: " << speedup << "x\n";
-  return identical;
-}
-
-// Shared-transcript dedup acceptance: a wide Thm12-style k-sweep whose tail
-// sits at or above Delta (every such instance provably shares one
-// transcript). Gates RunRakeCompressBatchDeduped's bit-identity against the
-// undeduped batch, then times the deduped engine pass (U distinct
-// instances) against the full one (B instances) — the measured per-instance
-// memory-traffic saving the dedup buys.
-bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
-                        int reps, bench::JsonWriter& json) {
-  const int n = tree.NumNodes();
   const int delta = tree.MaxDegree();
-  const std::vector<int> ks = {2,  3,  4,  6,  8,   12,  16,  24,
-                               32, 48, 64, 96, 128, 192, 256, 384};
   const int batch = static_cast<int>(ks.size());
-  // Distinct canonical parameters, order-preserving — the same dedup rule
-  // RunRakeCompressBatchDeduped applies internally.
-  std::vector<int> unique_ks;
-  for (int k : ks) {
-    const int canon = RakeCompressCanonicalK(k, delta);
-    bool seen = false;
-    for (int u : unique_ks) seen |= u == canon;
-    if (!seen) unique_ks.push_back(canon);
-  }
-  const int unique = static_cast<int>(unique_ks.size());
+  const CanonicalKGroups groups = GroupByCanonicalK(ks, delta);
+  const int unique = static_cast<int>(groups.unique.size());
   std::cout << "Dedup acceptance: k-sweep B=" << batch << " on Delta="
-            << delta << " tree collapses to U=" << unique << " instances\n";
+            << delta << " tree collapses to U=" << unique << " runs\n";
 
-  local::BatchNetwork full_net(tree, ids, batch);
-  std::vector<RakeCompressResult> full = RunRakeCompressBatch(full_net, ks);
+  local::Network net(tree, ids);
+  std::vector<RakeCompressResult> full(batch);
+  for (int b = 0; b < batch; ++b) full[b] = RunRakeCompress(net, ks[b]);
   double full_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    full = RunRakeCompressBatch(full_net, ks);
+    for (int b = 0; b < batch; ++b) full[b] = RunRakeCompress(net, ks[b]);
     full_s = std::min(full_s, Seconds(t0));
   }
 
-  std::vector<RakeCompressResult> deduped =
-      RunRakeCompressBatchDeduped(tree, ids, ks);
-  bool identical = true;
-  for (int b = 0; b < batch; ++b) identical &= Identical(full[b], deduped[b]);
-
-  // Engine-pass timing on the deduped instance set (pre-constructed and
-  // warmed like the full engine, so the comparison is round throughput).
-  local::BatchNetwork unique_net(tree, ids, unique);
-  RunRakeCompressBatch(unique_net, unique_ks);
+  std::vector<RakeCompressResult> deduped(batch);
   double deduped_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    RunRakeCompressBatch(unique_net, unique_ks);
+    std::vector<RakeCompressResult> runs(unique);
+    for (int u = 0; u < unique; ++u) {
+      runs[u] = RunRakeCompress(net, groups.unique[u]);
+    }
+    for (int b = 0; b < batch; ++b) deduped[b] = runs[groups.slot[b]];
     deduped_s = std::min(deduped_s, Seconds(t0));
   }
+
+  bool identical = true;
+  for (int b = 0; b < batch; ++b) identical &= Identical(full[b], deduped[b]);
 
   json.BeginRecord();
   json.Field("source", "bench_batch");
@@ -158,6 +90,7 @@ bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
   json.Field("n", n);
   json.Field("max_degree", delta);
   json.Field("batch", batch);
+  json.Field("ks", ks);
   json.Field("unique_instances", unique);
   json.Field("dedup_factor", double(batch) / unique);
   json.Field("full_seconds", full_s);
@@ -168,7 +101,7 @@ bool RunDedupAcceptance(const Graph& tree, const std::vector<int64_t>& ids,
   std::cout << "  identical=" << (identical ? "yes" : "NO (BUG)")
             << "  full: " << full_s << " s   deduped: " << deduped_s
             << " s   speedup: " << full_s / deduped_s << "x ("
-            << double(batch) / unique << "x fewer instances)\n";
+            << double(batch) / unique << "x fewer runs)\n";
   return identical;
 }
 
@@ -191,6 +124,32 @@ std::vector<int> BfsParents(const Graph& tree) {
   return parent;
 }
 
+// Instance b as its own solo ColeVishkin3Color run, in the bit-plane
+// runner's transcript type. The level-0 digest chain is a pure function of
+// the per-round stats (ChainDigest with a zero content accumulator, as
+// every engine folds it), so it is derived from the solo RoundStats.
+std::vector<local::bitplane::CvInstanceTranscript> SoloCvTranscripts(
+    const Graph& tree, const std::vector<int>& parent,
+    const std::vector<std::vector<int64_t>>& ids,
+    const std::vector<int64_t>& spaces) {
+  std::vector<local::bitplane::CvInstanceTranscript> out(ids.size());
+  for (size_t b = 0; b < ids.size(); ++b) {
+    const ColeVishkinResult r =
+        ColeVishkin3Color(tree, ids[b], parent, spaces[b]);
+    auto& t = out[b];
+    t.colors = r.colors;
+    t.rounds = r.rounds;
+    t.messages = r.messages;
+    t.round_stats = r.round_stats;
+    for (const local::RoundStats& rs : r.round_stats) {
+      t.last_digest = support::ChainDigest(t.last_digest, rs.active_nodes,
+                                           rs.messages_sent, 0);
+      t.round_digests.push_back(t.last_digest);
+    }
+  }
+  return out;
+}
+
 bool Identical(const local::bitplane::CvInstanceTranscript& a,
                const local::bitplane::CvInstanceTranscript& b) {
   return a.colors == b.colors && a.rounds == b.rounds &&
@@ -199,13 +158,12 @@ bool Identical(const local::bitplane::CvInstanceTranscript& a,
 }
 
 // Bit-plane CV acceptance: B = 64 Cole-Vishkin instances (per-instance ID
-// assignments) over one shared rooted tree, scalar BatchNetwork vs the
+// assignments) over one shared rooted tree, B solo scalar runs vs the
 // bit-plane runner. The identity gate compares EVERY transcript field —
 // colors, rounds, messages, per-round stats, digest chain — and a
-// divergence fails the process, same as the rake-compress gate above.
-// n is capped at 2^16 because the SCALAR side keeps 24-byte x B mailbox
-// slots per channel (the regime whose memory traffic the planes eliminate);
-// the cap is where the acceptance floor applies.
+// divergence fails the process, same as the dedup gate above. n is capped
+// at 2^16 (the size the acceptance floor applies to) so the B scalar runs
+// stay quick.
 bool RunBitplaneAcceptance(int n_requested, int reps,
                            bench::JsonWriter& json) {
   constexpr int kAcceptanceN = 1 << 16;
@@ -213,7 +171,7 @@ bool RunBitplaneAcceptance(int n_requested, int reps,
   const int batch = 64;
   std::cout << "Bitplane acceptance: CV 3-coloring on a " << n
             << "-node uniform tree, B=" << batch
-            << " bit-plane lanes vs scalar BatchNetwork\n";
+            << " bit-plane lanes vs B solo scalar runs\n";
 
   const Graph tree = UniformRandomTree(n, 31);
   const std::vector<int> parent = BfsParents(tree);
@@ -222,12 +180,11 @@ bool RunBitplaneAcceptance(int n_requested, int reps,
   for (int b = 0; b < batch; ++b) ids[b] = DistinctIds(n, 40 + b, space - 1);
   const std::vector<int64_t> spaces(batch, space);
 
-  local::BatchNetwork scalar_net(tree, ids[0], batch);
-  auto scalar = ColeVishkin3ColorBatch(scalar_net, parent, ids, spaces);
+  auto scalar = SoloCvTranscripts(tree, parent, ids, spaces);
   double scalar_s = 1e300;
   for (int rep = 0; rep < reps; ++rep) {
     auto t0 = Clock::now();
-    scalar = ColeVishkin3ColorBatch(scalar_net, parent, ids, spaces);
+    scalar = SoloCvTranscripts(tree, parent, ids, spaces);
     scalar_s = std::min(scalar_s, Seconds(t0));
   }
 
@@ -269,11 +226,12 @@ bool RunBitplaneAcceptance(int n_requested, int reps,
 }  // namespace treelocal
 
 int main(int argc, char** argv) {
-  // --n=<nodes> (default 2^20), --ks=<comma list> (overrides the default
-  // pair of sweeps with a single one), --reps=<best-of> (default 3).
+  // --n=<nodes> (default 2^20), --ks=<comma list> (overrides the dedup
+  // sweep's k list), --reps=<best-of> (default 3).
   int n = 1 << 20;
   int reps = 3;
-  std::vector<int> ks;
+  std::vector<int> ks = {2,  3,  4,  6,  8,   12,  16,  24,
+                         32, 48, 64, 96, 128, 192, 256, 384};
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--n=", 0) == 0) {
@@ -307,20 +265,7 @@ int main(int argc, char** argv) {
   treelocal::Graph tree = treelocal::UniformRandomTree(n, 31);
   auto ids = treelocal::DefaultIds(n, 32);
   treelocal::bench::JsonWriter json;
-  bool ok = true;
-  if (!ks.empty()) {
-    ok = treelocal::RunBatchAcceptance(tree, ids, ks, reps, json);
-  } else {
-    // Default: the classic k-ablation list (B = 8) plus the fine-grained
-    // grid (B = 32) that resolves the optimum near g(n) and gives the batch
-    // engine its widest amortization.
-    std::vector<int> classic = {2, 3, 4, 6, 8, 12, 16, 24};
-    std::vector<int> fine;
-    for (int k = 2; k <= 33; ++k) fine.push_back(k);
-    ok &= treelocal::RunBatchAcceptance(tree, ids, classic, reps, json);
-    ok &= treelocal::RunBatchAcceptance(tree, ids, fine, reps, json);
-    ok &= treelocal::RunDedupAcceptance(tree, ids, reps, json);
-  }
+  bool ok = treelocal::RunDedupAcceptance(tree, ids, ks, reps, json);
   ok &= treelocal::RunBitplaneAcceptance(n, reps, json);
   json.MergeAs("bench_batch", "BENCH_engine.json");
   std::cout << "  wrote BENCH_engine.json\n";

@@ -1,7 +1,7 @@
 // Parallel-engine acceptance driver: T-sweep scaling curves of the sharded
 // round pass, gated on transcript identity.
 //
-// Three measurements, all on uniform-random-tree rake-compress (the
+// Two measurements, both on uniform-random-tree rake-compress (the
 // bandwidth-bound workload ROADMAP names as the sharding target), merged
 // into BENCH_engine.json as source "bench_parallel":
 //   * parallel_scaling: Network at each T in --threads vs Network at
@@ -10,14 +10,11 @@
 //     (outputs, rounds, messages, per-round RoundStats) differs from
 //     T = 1: the determinism contract is the acceptance gate, speedup is
 //     reported but never traded against it.
-//   * parallel_batch: a k-sweep on a sharded BatchNetwork (instance
-//     slices) vs B solo Network runs, same identity gate.
 //   * relabel_ablation: Network with NetworkOptions::relabel vs default
 //     layout, identity-gated, timing both (the BFS locality satellite).
 //
 // CI runs this at small n with --threads=4 as the smoke gate; the full-size
 // run (n = 2^20 by default) produces the scaling record for ROADMAP.
-#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <iostream>
@@ -132,68 +129,6 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
   return ok;
 }
 
-bool RunParallelBatch(const Graph& tree, const std::vector<int64_t>& ids,
-                      int reps, int threads, bench::JsonWriter& json) {
-  const std::vector<int> ks = {2, 3, 4, 8};
-  const int B = static_cast<int>(ks.size());
-  const int n = tree.NumNodes();
-  std::cout << "Parallel batch: k-sweep {2,3,4,8}, instance shards, T="
-            << threads << "\n";
-
-  // Solo baselines (one reusable engine, per-k wall-clock summed).
-  std::vector<RakeCompressResult> want(B);
-  double solo_s = 0;
-  {
-    local::Network solo(tree, ids);
-    for (int b = 0; b < B; ++b) {
-      RunRakeCompress(solo, ks[b]);  // warmup
-      double best = 1e300;
-      for (int rep = 0; rep < reps; ++rep) {
-        auto t0 = Clock::now();
-        RakeCompressResult r = RunRakeCompress(solo, ks[b]);
-        double s = Seconds(t0);
-        if (s < best) {
-          best = s;
-          want[b] = std::move(r);
-        }
-      }
-      solo_s += best;
-    }
-  }
-
-  local::BatchNetwork batch(tree, ids, B, threads);
-  RunRakeCompressBatch(batch, ks);  // warmup
-  double batch_s = 1e300;
-  std::vector<RakeCompressResult> got;
-  for (int rep = 0; rep < reps; ++rep) {
-    auto t0 = Clock::now();
-    std::vector<RakeCompressResult> r = RunRakeCompressBatch(batch, ks);
-    double s = Seconds(t0);
-    if (s < batch_s) {
-      batch_s = s;
-      got = std::move(r);
-    }
-  }
-
-  bool identical = true;
-  for (int b = 0; b < B; ++b) identical &= SameTranscript(got[b], want[b]);
-  std::cout << "  solo sum: " << solo_s << " s   batch: " << batch_s
-            << " s   speedup " << solo_s / batch_s
-            << "x  identical=" << (identical ? "yes" : "NO (BUG)") << "\n";
-
-  json.BeginRecord();
-  json.Field("source", "bench_parallel");
-  json.Field("experiment", "parallel_batch");
-  json.Field("n", n);
-  json.Field("batch", B);
-  json.Field("threads", threads);
-  json.Field("solo_sum_seconds", solo_s);
-  json.Field("batch_seconds", batch_s);
-  json.Field("speedup", solo_s / batch_s);
-  json.Field("transcripts_identical", identical);
-  return identical;
-}
-
 bool RunRelabelAblation(const Graph& tree, const std::vector<int64_t>& ids,
                         int k, int reps, bench::JsonWriter& json) {
   const int n = tree.NumNodes();
@@ -270,9 +205,6 @@ int main(int argc, char** argv) {
 
   treelocal::bench::JsonWriter json;
   bool ok = treelocal::RunScaling(tree, ids, k, reps, thread_counts, json);
-  const int batch_threads =
-      *std::max_element(thread_counts.begin(), thread_counts.end());
-  ok &= treelocal::RunParallelBatch(tree, ids, reps, batch_threads, json);
   ok &= treelocal::RunRelabelAblation(tree, ids, k, reps, json);
   json.MergeAs("bench_parallel", "BENCH_engine.json");
   std::cout << (ok ? "  wrote BENCH_engine.json\n"

@@ -6,8 +6,8 @@
 // daemon configurations over the identical workload:
 //   * serial:    --max-batch 1 — every request is its own engine pass;
 //   * coalesced: --max-batch 16 — the dispatcher sweeps compatible queued
-//     requests into one pass: one BatchNetwork pass for rake-compress
-//     (canonical-k dedup included) and for Thm 12; Thm 15 runs solo.
+//     requests into one pass on one reused Network, one run per distinct
+//     canonical k, for rake-compress and for Thm 12; Thm 15 runs solo.
 // Every response is identity-gated against a solo run of its class
 // (RunRakeCompress, SolveNodeProblemOnTree, SolveEdgeProblemBoundedArboricity):
 // digest, engine rounds and message count must all match, and the theorem

@@ -90,7 +90,7 @@ inline std::vector<int> PowersOfTwo(int lo, int hi) {
 // every driver records round trajectories identically instead of probing
 // `requires { engine.round_seconds(); }` ad hoc. The engine exposing the
 // timing surface (Network, at any thread count) is armed and read back;
-// engines without it (ReferenceNetwork, BatchNetwork) arm to a no-op and
+// the engine without it (ReferenceNetwork) arms to a no-op and
 // capture an empty trajectory — callers emit what they got and the JSON
 // consumers treat an empty round_seconds as "engine does not time rounds".
 class EngineTimingRecorder {

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/local/bitplane.h"
 #include "src/local/network.h"
 
 namespace treelocal {
@@ -42,18 +41,6 @@ ColeVishkinResult ColeVishkin3ColorReference(const Graph& forest,
 // Number of Cole-Vishkin iterations needed from an ID space of the given
 // size until colors are in {0..5} (exposed for round-bound tests).
 int ColeVishkinIterations(int64_t id_space);
-
-// B = ids.size() instances on one shared BatchNetwork pass: instance b runs
-// the forest with its own ID assignment ids[b] (< id_space[b]) and the
-// schedule length that ID space implies, so instances with smaller spaces
-// halt and drop out of the batch early. `net` must be built over `forest`
-// with batch() == B. Returns per-instance transcripts in the bit-plane
-// layer's comparison type — this is the scalar oracle the bit-plane CV
-// batch (local::bitplane::BitplaneCvBatch) is asserted bit-identical to.
-std::vector<local::bitplane::CvInstanceTranscript> ColeVishkin3ColorBatch(
-    local::BatchNetwork& net, const std::vector<int>& parent,
-    const std::vector<std::vector<int64_t>>& ids,
-    const std::vector<int64_t>& id_space);
 
 }  // namespace treelocal
 

@@ -20,7 +20,7 @@ constexpr int64_t kRaked = 3;       // "I was just raked"
 
 // Per-node state, engine-managed (Algorithm::StateBytes): lives in the
 // engine's internal-indexed plane, so it streams in worklist order under
-// NetworkOptions::relabel and packs instance-major under BatchNetwork.
+// NetworkOptions::relabel.
 struct RcState {
   int32_t unmarked_degree = 0;
   int32_t iteration = 0;  // 1-based; 0 = unmarked
@@ -162,84 +162,6 @@ RakeCompressResult RunRakeCompress(local::Network& net, int k) {
 
 RakeCompressResult RunRakeCompress(local::ReferenceNetwork& net, int k) {
   return RunRakeCompressOnEngine(net, k);
-}
-
-std::vector<RakeCompressResult> RunRakeCompressBatch(
-    local::BatchNetwork& net, const std::vector<int>& ks) {
-  if (static_cast<int>(ks.size()) != net.batch()) {
-    throw std::invalid_argument("RunRakeCompressBatch needs one k per instance");
-  }
-  for (int k : ks) {
-    if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
-  }
-  const GraphView tree = net.view();
-  const int batch = net.batch();
-  std::vector<RakeCompressResult> results(batch);
-  if (tree.NumNodes() == 0) return results;
-
-  // One per-instance algorithm object (per-node state is per-instance). The
-  // engine-level round cap covers the slowest instance; each instance's own
-  // budget — what the solo path passes to Network::Run — is re-checked
-  // against its round count below so a per-instance Lemma 9 violation still
-  // fails loudly in Release.
-  std::vector<std::unique_ptr<RakeCompressAlgorithm>> algs;
-  std::vector<local::Algorithm*> alg_ptrs;
-  std::vector<int> budgets;
-  int max_rounds = 0;
-  for (int k : ks) {
-    algs.push_back(std::make_unique<RakeCompressAlgorithm>(tree, k));
-    alg_ptrs.push_back(algs.back().get());
-    int bound = RakeCompressIterationBound(tree.NumNodes(), k);
-    budgets.push_back(3 * (2 * bound + 8));
-    max_rounds = std::max(max_rounds, budgets.back());
-  }
-  std::vector<int> rounds = net.Run(alg_ptrs, max_rounds);
-  for (int b = 0; b < batch; ++b) {
-    if (rounds[b] > budgets[b]) {
-      throw std::runtime_error(
-          "rake-compress instance exceeded its own round budget");
-    }
-  }
-  const int n = tree.NumNodes();
-  for (int b = 0; b < batch; ++b) {
-    RakeCompressResult& result = results[b];
-    result.engine_rounds = rounds[b];
-    result.messages = net.messages_delivered(b);
-    result.round_stats = net.round_stats(b);
-    result.iteration.resize(n);
-    result.compressed.resize(n);
-    for (int v = 0; v < n; ++v) {
-      const RcState& st = net.StateAt<RcState>(b, v);
-      result.iteration[v] = st.iteration;
-      result.compressed[v] = st.compressed;
-      assert(result.iteration[v] > 0 && "all nodes must be marked (Lemma 9)");
-      result.num_iterations =
-          std::max(result.num_iterations, result.iteration[v]);
-    }
-  }
-  return results;
-}
-
-std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
-    GraphView tree, const std::vector<int64_t>& ids,
-    const std::vector<int>& ks, int num_threads) {
-  for (int k : ks) {
-    if (k < 2) throw std::invalid_argument("rake-compress requires k >= 2");
-  }
-  std::vector<RakeCompressResult> results(ks.size());
-  if (ks.empty() || tree.NumNodes() == 0) return results;
-
-  // The engine is sized to the deduped sweep — this is where the memory
-  // (and traffic) saving comes from, so dedup must precede construction.
-  const CanonicalKGroups groups = GroupByCanonicalK(ks, tree.MaxDegree());
-  local::BatchNetwork net(tree, ids, static_cast<int>(groups.unique.size()),
-                         num_threads);
-  std::vector<RakeCompressResult> unique_results =
-      RunRakeCompressBatch(net, groups.unique);
-  for (size_t i = 0; i < ks.size(); ++i) {
-    results[i] = unique_results[groups.slot[i]];
-  }
-  return results;
 }
 
 CanonicalKGroups GroupByCanonicalK(const std::vector<int>& ks,

@@ -62,35 +62,13 @@ RakeCompressResult RunRakeCompress(local::Network& net, int k);
 // cost); used by differential tests and the engine benchmarks.
 RakeCompressResult RunRakeCompress(local::ReferenceNetwork& net, int k);
 
-// Batched form: runs ks.size() == net.batch() independent rake-compress
-// instances (instance b with parameter ks[b]) over the shared topology in
-// one engine pass. results[b] is bit-identical to RunRakeCompress(net, ks[b])
-// on a solo engine — outputs, engine_rounds, messages, and round_stats —
-// and instances finishing early drop out of the batch independently. This
-// is how the k-ablation sweep amortizes per-round dispatch over the whole
-// parameter grid.
-std::vector<RakeCompressResult> RunRakeCompressBatch(local::BatchNetwork& net,
-                                                     const std::vector<int>& ks);
-
-// Batched k-sweep with shared-transcript dedup: parameters that PROVABLY
-// produce identical transcripts share one engine instance, and results are
-// fanned back out. Two parameters are provably identical when they are
-// equal, or both >= the forest's maximum degree Delta — with k >= Delta
-// every node passes the Compress predicate in iteration 1 (all degrees
-// <= Delta <= k), so the transcript no longer depends on k. The engine pass
-// thus runs one instance per distinct min(k, max(Delta, 2)) instead of one
-// per k, cutting the per-instance mailbox/state memory traffic of wide
-// sweeps whose tails sit above Delta (Theorem 12's k-ablation is exactly
-// such a sweep). results[i] is bit-identical to RunRakeCompressBatch's
-// entry for ks[i] — and therefore to the solo run — enforced by tests.
-// num_threads > 1 shards the deduped instance slices.
-std::vector<RakeCompressResult> RunRakeCompressBatchDeduped(
-    GraphView tree, const std::vector<int64_t>& ids,
-    const std::vector<int>& ks, int num_threads = 1);
-
-// The dedup's canonicalization rule, shared with the benches: two
-// parameters are provably transcript-identical iff their canonical forms
-// are equal (min(k, max_degree), floored at the smallest valid k = 2).
+// k-sweep dedup: two parameters are provably transcript-identical iff
+// their canonical forms are equal (min(k, max_degree), floored at the
+// smallest valid k = 2) — with k >= Delta every node passes the Compress
+// predicate in iteration 1, so the transcript no longer depends on k. A
+// sweep therefore runs one engine pass per distinct canonical k and fans
+// the results back out (Theorem 12's k-sweep and the daemon's coalesced
+// passes both do).
 int RakeCompressCanonicalK(int k, int max_degree);
 
 // ks grouped by that rule: `unique` holds each distinct canonical form in

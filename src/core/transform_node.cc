@@ -11,7 +11,7 @@ namespace treelocal {
 
 namespace {
 
-// Phases 2-3 of the Theorem 12 pipeline, shared by the solo and batched
+// Phases 2-3 of the Theorem 12 pipeline, shared by the single-k and k-sweep
 // entry points: takes a finished phase-1 decomposition (already
 // stored in `result.rake_compress`) and completes the base run and the
 // gather phase. `net` is the host engine over (tree, ids) — reused from
@@ -104,25 +104,14 @@ std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
   // Phases 1-3 read k only through RakeCompressCanonicalK: parameters at
   // or above the tree's max degree provably share one transcript. So every
   // phase runs once per canonical k and the results fan back out
-  // bit-identically, with k set per slot.
+  // bit-identically, with k set per slot. One engine serves the whole sweep.
   const CanonicalKGroups groups = GroupByCanonicalK(ks, tree.MaxDegree());
   std::vector<Thm12Result> unique_results(groups.unique.size());
-  {
-    // Phase 1 for all canonical k at once: one batched engine pass over the
-    // shared tree (an empty tree degenerates inside, which still validates
-    // every k, matching the solo path). num_threads > 1 shards the instance
-    // slices.
-    std::vector<RakeCompressResult> decompositions =
-        RunRakeCompressBatchDeduped(tree, ids, groups.unique, num_threads);
-    for (size_t u = 0; u < groups.unique.size(); ++u) {
-      unique_results[u].rake_compress = std::move(decompositions[u]);
-    }
-  }
-  // One shared engine for every instance's phases 2-3 (mailboxes and state
-  // plane are reused across the whole sweep).
-  local::Network net(tree, ids);
-  for (Thm12Result& r : unique_results) {
+  local::Network net(tree, ids, num_threads);
+  for (size_t u = 0; u < groups.unique.size(); ++u) {
+    Thm12Result& r = unique_results[u];
     r.labeling = HalfEdgeLabeling(tree);
+    r.rake_compress = RunRakeCompress(net, groups.unique[u]);
     FinishNodeProblem(problem, tree, ids, id_space, net, r);
   }
   for (size_t b = 0; b < ks.size(); ++b) {

@@ -55,16 +55,13 @@ Thm12Result SolveNodeProblemOnTree(const NodeProblem& problem,
                                    int64_t id_space, int k,
                                    int num_threads = 1);
 
-// Batched k-sweep: solves the same problem instance for every k in `ks`,
-// running the engine-bound decomposition phase (phase 1) of all instances
-// as one BatchNetwork pass over the shared topology; phases 2-3 are
-// completed once per distinct RakeCompressCanonicalK and copied to the
-// slots that share it. results[b] is identical to
-// SolveNodeProblemOnTree(problem, tree, ids, id_space, ks[b]). This is the
-// form the k-ablation sweep and multi-query serving use: per-round engine
-// dispatch is paid once for the whole sweep instead of once per k.
-// `num_threads` > 1 shards phase 1's batch instance slices across that many
-// pool lanes — same results.
+// k-sweep: solves the same problem instance for every k in `ks`. Every
+// phase runs once per distinct RakeCompressCanonicalK, one canonical k after
+// another on one Network with `num_threads` lanes (mailboxes and state plane
+// reused across the sweep), and the results are copied to the slots that
+// share it. results[b] is identical to
+// SolveNodeProblemOnTree(problem, tree, ids, id_space, ks[b]) for every
+// thread count. The form the k-ablation sweep uses.
 std::vector<Thm12Result> SolveNodeProblemOnTreeBatch(
     const NodeProblem& problem, const Graph& tree,
     const std::vector<int64_t>& ids, int64_t id_space,

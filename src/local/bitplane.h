@@ -11,13 +11,13 @@
 // Bit-plane batch execution: the batch dimension transposed into bit-planes
 // so 64 instances advance per 64-bit word operation.
 //
-// Plain multi-instance batching (BatchNetwork) went nearly flat (~1.1-1.3x)
-// on dense broadcast rounds because each instance streams its own
-// full-width state and 24-byte message slots — the regime is
-// memory-bandwidth-bound. But the hot per-instance state of the round
-// algorithms is tiny: Cole-Vishkin colors are 2-3 bits after one step,
-// greedy forbidden sets are small masks, Linial membership is a bit test.
-// This layer stores a batch's per-node algorithm state as BIT-PLANES:
+// Plain multi-instance batching (a B-wide mailbox engine, since removed)
+// went nearly flat (~1.1-1.3x) on dense broadcast rounds because each
+// instance streams its own full-width state and 24-byte message slots —
+// the regime is memory-bandwidth-bound. But the hot per-instance state of
+// the round algorithms is tiny: Cole-Vishkin colors are 2-3 bits after one
+// step, greedy forbidden sets are small masks, Linial membership is a bit
+// test. This layer stores a batch's per-node algorithm state as BIT-PLANES:
 // plane p holds bit p of all B instances for a node, packed into
 // W = ceil(B/64) uint64_t words, laid out [node][plane][word]. Lane-major
 // values enter and leave the planes through a 64x64 bit-matrix transpose at
@@ -28,7 +28,7 @@
 // The determinism contract is non-negotiable: the runner SYNTHESIZES the
 // full per-instance transcript (per-round RoundStats, message counts,
 // level-0 digest chains) from the schedule it executes, and callers assert
-// it bit-identical to the scalar BatchNetwork / solo Network transcripts
+// it bit-identical to B solo Network runs of the scalar algorithm
 // (tests/bitplane_test.cc, bench_batch's identity gate). Message-content
 // digest chains (NetworkOptions::digest_messages) are NOT supported here —
 // hashing per-message content would reintroduce the per-instance scalar
@@ -81,9 +81,8 @@ int FirstMissingColor(const int64_t* forbidden, int count);
 
 // --- the bit-plane Cole-Vishkin batch runner ------------------------------
 
-// Per-instance transcript, field-compatible with what a solo Network (or
-// BatchNetwork instance) running CvAlgorithm reports: the identity gate
-// compares every field.
+// Per-instance transcript, field-compatible with what a solo Network
+// running CvAlgorithm reports: the identity gate compares every field.
 struct CvInstanceTranscript {
   std::vector<int> colors;              // final colors, in {0,1,2}
   int rounds = 0;                       // engine rounds executed
@@ -98,10 +97,10 @@ struct CvInstanceTranscript {
 // lanes. Instance b runs with its own ID assignment ids[b] (values in
 // [0, id_space[b])) and its own schedule length K_b = CvIterations(
 // id_space[b]) — instances with shorter schedules halt and drop out while
-// longer ones continue, exactly as in BatchNetwork. Per-round plane counts
-// follow the CV color-width schedule (width shrinks monotonically from
-// BitLength(id_space-1) to 3), so late rounds touch 3 planes per node
-// instead of full-width state.
+// longer ones continue, each lane matching its own solo run. Per-round
+// plane counts follow the CV color-width schedule (width shrinks
+// monotonically from BitLength(id_space-1) to 3), so late rounds touch 3
+// planes per node instead of full-width state.
 //
 // The object owns the plane buffers and is reusable: repeated Run calls
 // (any batch width) reuse capacity, like the engines.

@@ -372,7 +372,7 @@ int Network::RunUntil(Algorithm& alg, int max_rounds, int pause_at_round) {
   std::vector<NodeContext> ctxs;
   ctxs.reserve(T);
   for (int t = 0; t < T; ++t) {
-    ctxs.push_back(NodeContext(graph_, ids_.data(), nullptr, nullptr));
+    ctxs.push_back(NodeContext(graph_, ids_.data(), nullptr));
     NodeContext& ctx = ctxs.back();
     ctx.first_ = first_.data();
     ctx.send_chan_ = send_chan_.data();

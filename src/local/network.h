@@ -72,9 +72,8 @@ struct RoundStats {
 // message wakes it (or never, if none arrives and the run hits max_rounds).
 inline constexpr int32_t kNoWakeRound = INT32_MAX;
 
-// Construction-time engine options for all three engines (Network and
-// BatchNetwork at every thread count; ReferenceNetwork accepts relabel and
-// ignores it).
+// Construction-time engine options for both engines (Network at every
+// thread count; ReferenceNetwork accepts relabel and ignores it).
 struct NetworkOptions {
   // Opt-in BFS locality relabeling: the engine assigns every node an
   // internal id in BFS order and lays the channel tables and mailboxes out
@@ -132,11 +131,9 @@ class MaxRoundsExceededError : public std::runtime_error {
                          int64_t active_nodes, uint64_t last_digest);
 
   int round() const { return round_; }
-  // Nodes still live when the bound was hit (for BatchNetwork: nodes live
-  // in at least one instance).
+  // Nodes still live when the bound was hit.
   int64_t active_nodes() const { return active_; }
-  // Digest-chain value after the last executed round (for BatchNetwork:
-  // folded over the per-instance chains).
+  // Digest-chain value after the last executed round.
   uint64_t last_digest() const { return digest_; }
 
  private:
@@ -146,7 +143,6 @@ class MaxRoundsExceededError : public std::runtime_error {
 };
 
 class Network;
-class BatchNetwork;
 class ReferenceNetwork;
 class Algorithm;
 
@@ -204,23 +200,21 @@ std::vector<int> BuildChanOwner(const std::vector<int>& first);
 // one round of communication — the engine exposes them directly for
 // convenience, which is standard (it shifts round counts by at most 1).
 //
-// One NodeContext serves all three engines. The Network branch carries raw
+// One NodeContext serves both engines. The Network branch carries raw
 // views of the engine's channel tables, mailboxes, halt flags, and a
 // message counter, so Recv/Send/Halt are single array accesses with no
 // engine indirection — and the counter view points at the running shard's
 // own padded slot, which is what keeps the hot path free of atomics at
-// every thread count. The BatchNetwork branch adds an instance index into
-// B-wide mailbox slots and per-shard dirty-channel bookkeeping; the
-// ReferenceNetwork branch is the naive out-of-line path used for
-// differential testing. The branch predicts perfectly inside a run.
-class NodeContext {
+// every thread count. The ReferenceNetwork branch is the naive out-of-line
+// path used for differential testing. The branch predicts perfectly inside
+// a run. Cache-line aligned because a sharded run keeps one context per
+// shard side by side: the visit loop rewrites node_/rank_/state_ on every
+// node, and those lines must not also hold the next shard's first_ or
+// send_chan_, which it reads on every Send (sharing them cost ~1.6x ns
+// per message at T = 2).
+class alignas(64) NodeContext {
  public:
   int node() const { return node_; }
-  // Batch-run instance index in [0, BatchNetwork::batch()); always 0 under
-  // the single-instance engines. Algorithms keeping per-instance state in
-  // one shared object may key on it; the usual pattern (one Algorithm object
-  // per instance) never needs it.
-  int instance() const { return instance_; }
   // O(1) from the engine's own channel offsets (first_[rank + 1] -
   // first_[rank]); never a call into the graph backend, except on the
   // ReferenceNetwork oracle.
@@ -239,10 +233,8 @@ class NodeContext {
 
   // Queue a message on `port` for delivery next round. O(1). Network looks
   // up the reverse half-edge in send_chan_ and stores straight into the
-  // receiver's inbox slot (one random store);
-  // BatchNetwork stages at the sender's own CSR slot and scatters at the
-  // round barrier. Sending twice on a port in one round keeps only the last
-  // message.
+  // receiver's inbox slot (one random store). Sending twice on a port in one
+  // round keeps only the last message.
   inline void Send(int port, Message m);
   inline void Broadcast(Message m);
 
@@ -276,15 +268,12 @@ class NodeContext {
 
  private:
   friend class Network;
-  friend class BatchNetwork;
   friend class ReferenceNetwork;
-  NodeContext(GraphView graph, const int64_t* ids, BatchNetwork* batch,
-              ReferenceNetwork* ref)
-      : graph_(graph), ids_(ids), batch_(batch), ref_(ref) {}
+  NodeContext(GraphView graph, const int64_t* ids, ReferenceNetwork* ref)
+      : graph_(graph), ids_(ids), ref_(ref) {}
 
   GraphView graph_;
   const int64_t* ids_;
-  BatchNetwork* batch_;    // batched multi-instance engine, or null
   ReferenceNetwork* ref_;  // reference engine, or null
 
   // CSR fast-path views (Network; first_ non-null selects this branch — the
@@ -307,12 +296,6 @@ class NodeContext {
   uint64_t* macc_ = nullptr;
   int32_t epoch_ = 0;
 
-  // BatchNetwork per-shard dirty-channel bookkeeping: the shard running
-  // this context marks written channels in its own stamp plane and list,
-  // so instance-sharded rounds never contend on a shared dirty vector.
-  int32_t* batch_dirty_stamp_ = nullptr;
-  std::vector<int>* batch_dirty_ = nullptr;
-
   // Wake-scheduling hooks. sleep_until_ is the engine<->algorithm mailbox
   // for SleepUntil: the engine pre-sets it to round+1 before each OnRound
   // and reads it back after. The notify trio is the CSR engines' message-
@@ -329,15 +312,14 @@ class NodeContext {
 
   // This node's slot in the engine's state plane, re-aimed by the engine
   // before every OnRound call (null when StateBytes() == 0). The engine
-  // does the internal-rank / instance-plane addressing; the accessor above
-  // stays a bare cast.
+  // does the internal-rank addressing; the accessor above stays a bare
+  // cast.
   void* state_ = nullptr;
 
   int node_ = 0;
   int rank_ = 0;  // node_'s internal rank (== node_ without relabel); set
                   // with state_, indexes the engine's channel offsets
   int round_ = 0;
-  int instance_ = 0;
 };
 
 // A distributed algorithm. OnRound is invoked once per node per round
@@ -348,14 +330,13 @@ class NodeContext {
 // slot in InitState(), and reads/writes it through NodeContext::State<T>().
 // The engine owns the storage and lays it out ITS way — indexed by internal
 // rank, so under NetworkOptions::relabel the state walks in BFS worklist
-// order alongside the mailboxes instead of streaming scattered, and under
-// BatchNetwork it is packed instance-major next to the staging planes. This
-// is what lets one Algorithm implementation hit every engine's best memory
-// layout without knowing which engine is running it. Algorithms with no
+// order alongside the mailboxes instead of streaming scattered. This is
+// what lets one Algorithm implementation hit the engine's best memory
+// layout without knowing how the engine is configured. Algorithms with no
 // per-node state (or legacy ones keeping their own node-indexed arrays)
-// return 0 from StateBytes() and everything behaves as before — but
-// engine-side layouts (relabel, batching) can then no longer help their
-// state locality, which measurably costs on big inputs.
+// return 0 from StateBytes() and everything behaves as before — but the
+// relabel layout can then no longer help their state locality, which
+// measurably costs on big inputs.
 //
 // Determinism contract (what makes every engine in this family produce
 // bit-identical transcripts): within a round, OnRound for node v may read
@@ -417,10 +398,10 @@ class Algorithm {
 //   ReferenceNetwork — naive O(n + m) per round; differential-test oracle.
 //   Network(T)       — the solo engine, O(active work) per round (below);
 //                      its round pass runs on T thread-pool lanes, with
-//                      bit-identical transcripts for every T.
-//   BatchNetwork(T)  — B independent instances over one shared topology in
-//                      a single per-round pass, instance slices sharded
-//                      across T lanes.
+//                      bit-identical transcripts for every T. Callers with
+//                      several instances on one topology (a k-sweep, a
+//                      daemon pass) run them one after another on one
+//                      reused Network.
 //
 // Throughput design (the per-round cost is the system-wide bottleneck for
 // every pipeline in this repository):
@@ -516,6 +497,9 @@ class Network {
   bool paused() const { return mid_run_; }
   // True once the last run completed (every node halted).
   bool finished() const { return finished_; }
+  // Drops a paused run: the next RunUntil starts a fresh run (with any
+  // algorithm) instead of continuing this one, as after a run that threw.
+  void Abandon() { mid_run_ = false; }
 
   // Serializes the current round boundary (engine must be paused() or
   // finished()) as a canonical snapshot: resuming it — in this engine, a
@@ -707,281 +691,8 @@ class Network {
   static const Message kNoMessage;
 };
 
-// Batched multi-instance engine: runs B independent Algorithm instances over
-// ONE shared topology in a single per-round pass. This amortizes the
-// per-round dispatch (worklist iteration, round bookkeeping) over B
-// instances and — the main lever — turns the engine's random 24-byte channel
-// accesses into 24*B-byte transfers: mailbox slots are widened to B-vectors
-// laid out instance-major within a channel (slot of channel c, instance b is
-// c*B + b), so one node visit serves all B instances.
-//
-// Message flow is three-step, keeping BOTH hot paths of OnRound sequential
-// (Network's Send pays a random store per message instead):
-//   * Send(v, p) stages the message at the sender's own CSR slot — a node
-//     visit's sends are contiguous — and marks the channel dirty (first
-//     write per round, sequential as well).
-//   * The round barrier scatters each dirty channel's staged live-instance
-//     slots to the receiver-indexed inbox: the ONLY random accesses of the
-//     round, each moving up to 24*B bytes in one go, software-prefetched
-//     ahead so many line/TLB fills stay in flight. O(channels written), not
-//     O(m); only live instances' slots are copied, so a long-tailed batch
-//     degrades toward solo cost instead of paying B-wide stride forever.
-//   * Recv(v, p) reads the inbox at the receiver's own CSR slot —
-//     sequential, exactly like Network.
-// The single-instance engine cannot profit from this split: its scatter
-// would move 24 bytes per random cache line, the same cost it already pays
-// on the store side. Amortizing each random line/TLB fill across B
-// instances is where the batch speedup over B sequential runs comes from.
-//
-// The per-round node pass is cache-blocked (chunks of nodes, instances as
-// the middle loop) so each algorithm's node-indexed state arrays stream
-// sequentially per instance slice instead of interleaving 3*B prefetch
-// streams.
-//
-// Sharded mode (num_threads > 1): the per-round pass splits the batch into
-// contiguous instance slices, one per thread-pool lane. Instance slices are
-// embarrassingly parallel — staging planes, message counters, per-instance
-// halt flags, and RoundStats are all per-instance — so each shard runs its
-// slice's node pass AND its slice's scatter with no barrier in between (the
-// scatter touches only the shard's own instance slots of each inbox
-// cluster). The two cross-instance
-// structures are handled explicitly: dirty-channel bookkeeping is per shard
-// (a channel dirtied by several shards is scattered once per shard, each
-// moving disjoint instance slots), and the shared per-node live-instance
-// countdown is a relaxed atomic (a pure counter: any decrement order yields
-// the same compaction decision at the barrier). Transcripts are bit-identical
-// to the single-lane batch — and therefore to B solo Network runs — for every
-// thread count.
-//
-// Batch API contract:
-//   * Instances are fully independent: instance b's transcript (outputs,
-//     per-instance round count, message count, per-round RoundStats) is
-//     bit-identical to `Network::Run(*algs[b], max_rounds)` on the same
-//     graph and IDs. Channels and state planes of different instances never
-//     alias: instance b's engine-managed state (Algorithm::StateBytes,
-//     which every instance must declare identically) lives in its own
-//     instance-major plane. Legacy per-instance state kept inside the
-//     caller's Algorithm objects still works (StateBytes() == 0); an
-//     algorithm sharing one object across instances can key per-instance
-//     state on NodeContext::instance().
-//   * Per-instance halting: a (node, instance) pair halts independently;
-//     a node leaves the shared worklist only once it has halted in every
-//     instance, and an instance that halts all its nodes drops out of the
-//     batch (contributing no further RoundStats) while the rest continue.
-//   * `max_rounds` bounds the whole batch: the run throws when any instance
-//     is still live past it.
-//   * Reusable like Network: repeated Run calls (any batch-compatible
-//     algorithm vectors) reuse the mailboxes with no reallocation; epochs
-//     advance monotonically across runs with the same wrap guard.
-//
-// Per-round complexity: O(sum of OnRound costs over live (node, instance)
-// pairs) + O(#live nodes) for the compaction; memory is O((n + m) * B).
-class BatchNetwork {
- public:
-  BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch);
-  // Sharded form: the round pass runs on `num_threads` persistent pool
-  // lanes (>= 1; capped at `batch` — slices are whole instances).
-  BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
-               int num_threads);
-  // Options form: honors every NetworkOptions field. Under relabel the
-  // channel clusters and state planes are laid out in BFS order (the round
-  // pass walks internal ranks, so the scatter's random cluster writes and
-  // each instance's state stream stay BFS-local) while halt flags, wake
-  // rounds, and every API surface stay in the caller's external numbering —
-  // transcripts are bit-identical either way, as for Network.
-  BatchNetwork(GraphView graph, std::vector<int64_t> ids, int batch,
-               int num_threads, const NetworkOptions& options);
-
-  // Out of line for the incomplete-type pending_resume_ member.
-  ~BatchNetwork();
-
-  // Runs algs[b] as instance b (algs.size() must equal batch()) until every
-  // instance has halted every node; throws if a round would exceed
-  // `max_rounds` with any instance live. Returns per-instance executed
-  // round counts; entry b equals what Network::Run(*algs[b], ...) returns
-  // on the same graph and IDs.
-  std::vector<int> Run(const std::vector<Algorithm*>& algs, int max_rounds);
-
-  // Pause-point form of Run, mirroring Network::RunUntil: stops at the
-  // shared batch boundary BEFORE round `pause_at_round` (all instances
-  // pause together; continuation requires the SAME algorithm objects).
-  // Returns per-instance rounds executed so far (a paused live instance
-  // reports the rounds it has run; a finished one its frozen solo count).
-  std::vector<int> RunUntil(const std::vector<Algorithm*>& algs,
-                            int max_rounds, int pause_at_round);
-
-  bool paused() const { return mid_run_; }
-  bool finished() const { return finished_; }
-
-  // Canonical checkpoint of the paused/finished batch: batch() per-instance
-  // sections in one snapshot. Instance b's section is byte-identical to the
-  // snapshot a solo Network running algs[b] would write at the same round,
-  // except for the engine-kind tag and batch width — which is what the
-  // cross-engine resume tests exploit. Same contract as Network::Checkpoint
-  // / Resume otherwise.
-  void Checkpoint(std::ostream& out) const;
-  void Resume(std::istream& in);
-
-  int batch() const { return batch_; }
-  int num_threads() const { return pool_.num_threads(); }
-  // Same split as Network: graph() requires the uncompressed backend,
-  // view() works for either.
-  const Graph& graph() const {
-    return graph_.RequireCsr("BatchNetwork::graph()");
-  }
-  GraphView view() const { return graph_; }
-  const std::vector<int64_t>& ids() const { return ids_; }
-
-  // Per-instance counters for the last Run; same accounting as Network's
-  // messages_delivered() / round_stats() for instance b's solo run.
-  int64_t messages_delivered(int instance) const {
-    return messages_delivered_[instance];
-  }
-  const std::vector<RoundStats>& round_stats(int instance) const {
-    return round_stats_[instance];
-  }
-
-  // Wake-scheduling observability, mirroring Network::wake_scheduled() /
-  // wakes() per instance.
-  bool wake_scheduled() const { return scheduled_; }
-  int64_t wakes(int instance) const { return wakes_[instance]; }
-
-  // Per-instance transcript digest chains; instance b's chain is
-  // bit-identical to the solo Network chain for algs[b].
-  const std::vector<uint64_t>& round_digests(int instance) const {
-    return round_digests_[instance];
-  }
-  const std::vector<uint64_t>& round_message_accs(int instance) const {
-    return round_msg_acc_[instance];
-  }
-  uint64_t last_digest(int instance) const { return digest_[instance]; }
-
-  // Post-run read-back of instance `instance`'s state slot for external
-  // node v (the external->internal translation happens here, off the hot
-  // path, exactly as in Network::StateAt).
-  template <typename T>
-  const T& StateAt(int instance, int v) const {
-    const auto i = static_cast<size_t>(perm_.empty() ? v : perm_[v]);
-    return *reinterpret_cast<const T*>(state_.data() +
-                                       state_plane_bytes_ * instance +
-                                       i * state_stride_);
-  }
-  size_t state_bytes() const { return state_stride_; }
-
-  // White-box epoch access for the wrap-guard regression tests.
-  int32_t epoch_for_testing() const { return epoch_; }
-  void set_epoch_for_testing(int32_t epoch) { epoch_ = epoch; }
-
- private:
-  friend class NodeContext;
-
-  // Restores a validated snapshot into engine storage at the start of the
-  // resuming RunUntil (batch_network.cc); `stride` is the resuming
-  // algorithms' uniform StateBytes, checked against the snapshot's.
-  void ApplySnapshot(const SnapshotData& snap, size_t stride);
-
-  // One contiguous instance slice of the batch plus its private
-  // dirty-channel bookkeeping and scratch (see the sharded-mode comment).
-  struct Shard {
-    int b_lo = 0, b_hi = 0;             // instance range [b_lo, b_hi)
-    std::vector<int32_t> dirty_stamp;   // per channel: epoch of last write
-    std::vector<int> dirty;             // channels written this round
-    std::vector<int> live;              // scratch: live instances in range
-    // Wake calendar over (node * batch + instance) codes, indexed by
-    // absolute round. Fully shard-private: messages never cross instances
-    // and shards own contiguous instance ranges, so sleeps land in the
-    // visiting shard's calendar and message wakes are detected during the
-    // shard's OWN scatter (a staged slot stamped this epoch and observable
-    // wakes its receiver pair) — no cross-shard communication at all. Same
-    // lazy stale-skip as Network::calendar_.
-    std::vector<std::vector<int64_t>> calendar;
-  };
-
-  GraphView graph_;
-  std::vector<int64_t> ids_;
-  int batch_;
-  std::vector<int> first_;      // shared rank-indexed offsets (see Network)
-  std::vector<int> send_chan_;  // shared reverse half-edge channels
-  std::vector<int> order_;      // internal rank -> external id (iota, or BFS
-                                // under options.relabel), as in Network
-  std::vector<int> perm_;       // external id -> internal rank; empty =
-                                // identity (no relabel)
-  // B-wide mailboxes, epoch-stamped, never cleared. stage_ is the
-  // sender-indexed buffer Send writes, laid out instance-MAJOR (one
-  // contiguous plane per instance, so a cache-blocked instance slice emits
-  // purely sequential stores); inbox_ is the receiver-indexed buffer Recv
-  // reads, laid out instance-MINOR (per-channel clusters, so one scatter
-  // write moves all instances and per-node Recv scans stay sequential).
-  // The round-end scatter converts between the two layouts.
-  std::vector<Message> stage_, inbox_;
-  size_t plane_ = 0;  // stage_ plane stride == channel count
-  // Engine-owned algorithm state, laid out instance-MAJOR exactly like the
-  // staging buffer: one contiguous n-slot plane per instance, so the
-  // cache-blocked (chunk, instance) node pass streams each instance's state
-  // sequentially next to its staging plane instead of gathering from B
-  // caller-side arrays. Re-armed every Run; requires every instance to
-  // declare the same StateBytes (enforced in Run).
-  std::vector<unsigned char> state_;
-  size_t state_stride_ = 0;       // bytes per (node, instance) slot
-  size_t state_plane_bytes_ = 0;  // bytes per instance plane == n * stride
-  std::vector<Shard> shards_;
-  std::vector<char> halted_;          // (node, instance): v * batch_ + b
-  // Per node: # instances not halted. Relaxed atomic so instance shards on
-  // different threads can decrement the same node concurrently; the value
-  // is only read at the round barrier (after the pool join), where any
-  // decrement order has produced the same count.
-  std::unique_ptr<std::atomic<int>[]> node_live_;
-  std::vector<int> live_nodes_;       // per instance: # nodes not halted
-  std::vector<int> active_;           // INTERNAL ranks of nodes live in >= 1
-                                      // instance, engine (rank) order — the
-                                      // state planes are rank-indexed, so the
-                                      // dense pass streams them sequentially
-                                      // under relabel too (see Network)
-  std::vector<int64_t> messages_delivered_;          // per instance
-  std::vector<std::vector<RoundStats>> round_stats_;  // per instance
-  std::vector<int> rounds_;           // per instance, last Run's result
-  // Per-instance digest chains (see Network). msg_acc_ is written from the
-  // Send hot path (per instance, so instance shards stay disjoint); the
-  // chains advance at the round barrier only for instances live that round.
-  std::vector<std::vector<uint64_t>> round_msg_acc_;
-  std::vector<std::vector<uint64_t>> round_digests_;
-  std::vector<uint64_t> digest_;
-  std::vector<uint64_t> msg_acc_;
-  bool digest_messages_ = false;
-  support::FaultInjector* fault_ = nullptr;
-  bool mid_run_ = false;
-  bool finished_ = false;
-  std::unique_ptr<SnapshotData> pending_resume_;
-  // Wake-scheduling state (see Network and Shard::calendar): per-pair wake
-  // rounds, the channel->receiver table the scatter's wake check uses
-  // (its values are external nodes, like the halt and wake planes), and
-  // per-instance wake counters. Armed lazily on the first scheduled run.
-  std::vector<int32_t> wake_;             // (node, instance): v * batch_ + b
-  std::vector<int> chan_owner_;           // recv channel -> receiver node
-  std::vector<int64_t> wakes_;            // per instance, last Run
-  std::vector<int> live_at_start_;        // scratch: per-instance live count
-  std::vector<int64_t> round_decisions_;  // scratch: per-instance decisions
-  bool scheduled_ = false;
-  bool wake_opt_ = true;  // NetworkOptions::wake_scheduling
-  // A batch run is scheduled iff the option is on AND every instance's
-  // algorithm opts in (a mixed batch falls back to always-visit, which is
-  // always transcript-correct).
-  std::vector<int> round_active_;     // scratch: per-instance visits (on the
-                                      // legacy path: ran-this-round count ==
-                                      // live_at_start_)
-  std::vector<int64_t> sent_before_;  // scratch: per-instance sent watermark
-  std::vector<uint64_t> macc_before_;  // scratch: content-acc watermark
-  std::vector<char> round_live_;      // scratch: live-at-round-start flags
-  support::ThreadPool pool_;          // num_threads lanes, persistent
-  int32_t epoch_ = 1;  // same monotone/wrap-guarded scheme as Network
-  int round_ = 0;
-};
-
 inline int NodeContext::degree() const {
   if (first_ != nullptr) [[likely]] return first_[rank_ + 1] - first_[rank_];
-  if (batch_ != nullptr) [[likely]] {
-    return batch_->first_[rank_ + 1] - batch_->first_[rank_];
-  }
   return graph_.Degree(node_);
 }
 
@@ -990,14 +701,6 @@ inline const Message& NodeContext::Recv(int port) const {
     const auto c = static_cast<size_t>(first_[rank_] + port);
     const Message& s = inbox_[c];
     return s.engine_stamp + 1 == epoch_ ? s : Network::kNoMessage;
-  }
-  if (batch_ != nullptr) [[likely]] {
-    // Receiver-indexed and sequential, exactly like the solo engine: the
-    // scatter already moved last round's sends here.
-    const auto c = static_cast<size_t>(batch_->first_[rank_] + port);
-    const Message& s =
-        batch_->inbox_[c * static_cast<size_t>(batch_->batch_) + instance_];
-    return s.engine_stamp + 1 == batch_->epoch_ ? s : Network::kNoMessage;
   }
   return internal::RefRecv(*ref_, node_, port);
 }
@@ -1043,36 +746,6 @@ inline void NodeContext::Send(int port, Message m) {
     }
     return;
   }
-  if (batch_ != nullptr) [[likely]] {
-    // Stage at the sender's own CSR slot in this instance's plane —
-    // sequential within a node visit, no random access on the send path at
-    // all — and mark the channel dirty in this shard's own bookkeeping for
-    // the round-end scatter (also sequential).
-    const int chan = batch_->first_[rank_] + port;
-    Message& s =
-        batch_->stage_[batch_->plane_ * static_cast<size_t>(instance_) +
-                       static_cast<size_t>(chan)];
-    const int32_t stamp = batch_->epoch_;
-    if (s.engine_stamp == stamp) {
-      batch_->messages_delivered_[instance_] -= s.present();
-      if (batch_->digest_messages_ && s.present()) {
-        batch_->msg_acc_[instance_] -=
-            support::MessageHash(node_, port, s.word0, s.word1, s.size);
-      }
-    }
-    s = m;
-    s.engine_stamp = stamp;
-    batch_->messages_delivered_[instance_] += m.present();
-    if (batch_->digest_messages_ && m.present()) {
-      batch_->msg_acc_[instance_] +=
-          support::MessageHash(node_, port, m.word0, m.word1, m.size);
-    }
-    if (batch_dirty_stamp_[chan] != stamp) {
-      batch_dirty_stamp_[chan] = stamp;
-      batch_dirty_->push_back(chan);
-    }
-    return;
-  }
   internal::RefSend(*ref_, node_, port, m);
 }
 
@@ -1084,17 +757,6 @@ inline void NodeContext::Broadcast(Message m) {
 inline void NodeContext::Halt() {
   if (first_ != nullptr) [[likely]] {
     halted_[node_] = 1;  // worklist compaction happens after OnRound
-    return;
-  }
-  if (batch_ != nullptr) [[likely]] {
-    char& h = batch_->halted_[static_cast<size_t>(node_) *
-                                  static_cast<size_t>(batch_->batch_) +
-                              instance_];
-    if (!h) {
-      h = 1;
-      batch_->node_live_[node_].fetch_sub(1, std::memory_order_relaxed);
-      --batch_->live_nodes_[instance_];
-    }
     return;
   }
   internal::RefHalt(*ref_, node_);

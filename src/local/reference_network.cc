@@ -178,7 +178,7 @@ int ReferenceNetwork::RunUntil(Algorithm& alg, int max_rounds,
   scheduled_ = scheduled;
   support::FaultInjector* const fault = fault_;
 
-  NodeContext ctx(graph_, ids_.data(), nullptr, this);
+  NodeContext ctx(graph_, ids_.data(), this);
   while (num_halted_ < n) {
     if (round_ == pause_at_round) {
       mid_run_ = true;

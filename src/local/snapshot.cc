@@ -444,9 +444,8 @@ SnapshotData BuildSoloSnapshot(
   // hands the algorithm the same bytes as kNoMessage), and skipping it
   // keeps the image canonical across the stamp-less reference engine too.
   // A finished run records none at all — every node has halted, so the
-  // final round's leftovers are unobservable, and dropping them is what
-  // makes a batch instance that finished early serialize identically to
-  // the solo run (whose engine stopped at its own final round).
+  // final round's leftovers are unobservable, and dropping them keeps a
+  // finished image canonical whichever engine wrote it.
   if (!finished) {
     for (int v = 0; v < n; ++v) {
       const int i = perm.empty() ? v : perm[v];

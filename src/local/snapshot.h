@@ -102,6 +102,9 @@ inline constexpr uint32_t kSnapshotFlagDigestMessages = 1u << 0;
 // canonical, so any engine configuration can pick the run up). Network
 // writes kNetwork at one thread and kParallelNetwork above, the values the
 // serial and sharded solo engines wrote before they were merged.
+// kBatchNetwork tagged the multi-instance engine (batch > 1) that has since
+// been removed; old files still parse, and the solo engines refuse their
+// batch width on resume with a SnapshotError.
 enum class SnapshotEngineKind : uint32_t {
   kNetwork = 0,
   kParallelNetwork = 1,
@@ -143,7 +146,7 @@ struct SnapshotData {
   SnapshotEngineKind engine_kind = SnapshotEngineKind::kNetwork;
   bool digest_messages = false;
   bool finished = false;   // all instances halted every node
-  int32_t batch = 1;       // instance count (1 for the solo engines)
+  int32_t batch = 1;       // instance count (engines resume only 1)
   int32_t round = 0;       // rounds executed so far (resume continues here)
   int32_t n = 0;
   int64_t m = 0;
@@ -154,8 +157,8 @@ struct SnapshotData {
 
   struct Instance {
     int64_t messages_delivered = 0;
-    // Batch semantics: the instance's frozen solo round count once it
-    // finished, 0 while live. For solo engines: round when finished.
+    // The instance's round count once it finished (for a multi-instance
+    // file: its frozen solo count), 0 while live.
     int32_t rounds_completed = 0;
     std::vector<SnapshotRound> rounds;
     std::vector<char> halted;             // n entries, external-indexed

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <exception>
-#include <map>
 #include <utility>
 
 #include "src/core/decomposition.h"
@@ -338,105 +337,125 @@ void Dispatcher::RunRakeCompressBatchPass(
   const int64_t n = rg.graph.NumNodes();
 
   // Canonical-k dedup: members whose parameters provably produce identical
-  // transcripts share one engine instance.
-  std::map<int, int> instance_of_ck;
-  std::vector<int> member_instance(members.size());
-  std::vector<std::unique_ptr<local::Algorithm>> algs;
-  std::vector<local::Algorithm*> raw;
+  // transcripts share one engine run. Groups run in first-seen order.
+  std::vector<int> ks(members.size());
   std::vector<int> budgets(members.size());
   for (size_t i = 0; i < members.size(); ++i) {
     const SolveSpec& spec = members[i]->spec;
-    const int ck = RakeCompressCanonicalK(spec.k, rg.max_degree);
-    auto [it, fresh] = instance_of_ck.try_emplace(ck, (int)algs.size());
-    if (fresh) {
-      algs.push_back(MakeRakeCompressAlgorithm(rg.graph, ck));
-      raw.push_back(algs.back().get());
-    }
-    member_instance[i] = it->second;
+    ks[i] = spec.k;
     budgets[i] = spec.max_rounds > 0 ? spec.max_rounds
                                      : RakeCompressBudget(n, spec.k);
   }
-  const int engine_budget =
-      std::max(1, *std::max_element(budgets.begin(), budgets.end()));
+  const CanonicalKGroups groups = GroupByCanonicalK(ks, rg.max_degree);
+
+  std::vector<char> terminal(members.size(), 0);
+  const auto finish = [&](size_t i, TicketState state, const SolveResult& res,
+                          const std::string& why) {
+    terminal[i] = 1;
+    Finish(members[i], state, res, why);
+  };
+  const auto over_budget = [&](size_t i) {
+    return "round budget exceeded (" + std::to_string(budgets[i]) +
+           " rounds)";
+  };
+  // Slice-boundary sweep over the whole pass, so a cancel lands at the
+  // next boundary whichever group its member waits in. Returns whether
+  // group g still has a live member.
+  const auto sweep_cancels = [&](size_t g) {
+    bool live = false;
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (terminal[i]) continue;
+      if (members[i]->cancel.load()) {
+        finish(i, TicketState::kCancelled, {}, "");
+        continue;
+      }
+      live |= groups.slot[i] == g;
+    }
+    return live;
+  };
 
   local::NetworkOptions nopt;
   nopt.relabel = true;
   nopt.fault = options_.fault;
-  std::vector<char> terminal(members.size(), 0);
-  auto fail_rest = [&](const std::string& why) {
-    for (size_t i = 0; i < members.size(); ++i) {
-      if (!terminal[i]) {
-        terminal[i] = 1;
-        Finish(members[i], TicketState::kFailed, {}, why);
-      }
-    }
-  };
-
+  std::unique_ptr<local::Network> net;
   try {
-    local::BatchNetwork net(rg.graph, rg.ids, (int)algs.size(),
-                            options_.engine_threads, nopt);
-    std::vector<int> rounds;
-    int pause = 0;
-    for (;;) {
-      pause += options_.slice_rounds;
-      rounds = net.RunUntil(raw, engine_budget, pause);
-      bool any_live = false;
-      for (size_t i = 0; i < members.size(); ++i) {
-        if (terminal[i]) continue;
-        if (members[i]->cancel.load()) {
-          // Drop the result; the shared instance keeps running so the
-          // other members' transcripts are untouched.
-          terminal[i] = 1;
-          Finish(members[i], TicketState::kCancelled, {}, "");
-          continue;
+    net = std::make_unique<local::Network>(rg.graph, rg.ids,
+                                           options_.engine_threads, nopt);
+  } catch (const std::exception& e) {
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (!terminal[i]) finish(i, TicketState::kFailed, {}, e.what());
+    }
+    return;
+  }
+
+  for (size_t g = 0; g < groups.unique.size(); ++g) {
+    if (!sweep_cancels(g)) continue;  // every member terminal: skip the run
+    const auto live_in_group = [&](size_t i) {
+      return !terminal[i] && groups.slot[i] == g;
+    };
+    int group_budget = 1;
+    for (size_t i = 0; i < members.size(); ++i) {
+      if (live_in_group(i)) group_budget = std::max(group_budget, budgets[i]);
+    }
+    bool ran = false, overran = false, threw = false;
+    std::string error;
+    try {
+      const auto alg = MakeRakeCompressAlgorithm(rg.graph, groups.unique[g]);
+      ran = true;
+      int pause = 0;
+      for (;;) {
+        pause += options_.slice_rounds;
+        net->RunUntil(*alg, group_budget, pause);
+        if (net->finished()) break;
+        sweep_cancels(g);
+        bool live = false;
+        for (size_t i = 0; i < members.size(); ++i) {
+          if (!live_in_group(i)) continue;
+          if (pause > budgets[i]) {
+            finish(i, TicketState::kFailed, {}, over_budget(i));
+          } else {
+            live = true;
+          }
         }
-        if (!net.finished() && pause > budgets[i] &&
-            rounds[member_instance[i]] >= pause) {
-          terminal[i] = 1;
-          Finish(members[i], TicketState::kFailed, {},
-                 "round budget exceeded (" + std::to_string(budgets[i]) +
-                     " rounds)");
-          continue;
+        if (!live) {
+          net->Abandon();  // every member dead: stop this run mid-way
+          break;
         }
-        any_live = true;
       }
-      if (net.finished()) break;
-      if (!any_live) return;  // every member dead: abandon mid-run
+    } catch (const local::MaxRoundsExceededError&) {
+      overran = true;
+    } catch (const std::exception& e) {
+      threw = true;
+      error = e.what();
     }
-    uint64_t pass_rounds = 0, pass_messages = 0;
-    for (int b = 0; b < (int)algs.size(); ++b) {
-      pass_rounds += (uint64_t)rounds[b];
-      pass_messages += (uint64_t)net.messages_delivered(b);
-    }
-    {
-      // Counted before any member finishes, as in RunSolo: a client that
-      // has fetched its result must also see the pass in Stats.
+    const int rounds = ran ? static_cast<int>(net->round_stats().size()) : 0;
+    if (ran) {
+      // Counted before any member of the group finishes, as in RunSolo: a
+      // client that has fetched its result must also see the run in Stats.
       std::lock_guard<std::mutex> lock(mu_);
-      engine_rounds_ += pass_rounds;
-      engine_messages_ += pass_messages;
+      engine_rounds_ += (uint64_t)rounds;
+      engine_messages_ += (uint64_t)net->messages_delivered();
     }
     for (size_t i = 0; i < members.size(); ++i) {
-      if (terminal[i]) continue;
-      const int b = member_instance[i];
-      const int r = rounds[b];
-      if (r > budgets[i]) {
-        Finish(members[i], TicketState::kFailed, {},
-               "round budget exceeded (" + std::to_string(budgets[i]) +
-                   " rounds)");
+      if (!live_in_group(i)) continue;
+      if (threw) {
+        finish(i, TicketState::kFailed, {}, error);
+        continue;
+      }
+      if (overran || rounds > budgets[i]) {
+        finish(i, TicketState::kFailed, {}, over_budget(i));
         continue;
       }
       SolveResult res;
       res.kind = SolveKind::kRakeCompress;
       res.valid = 1;
-      res.engine_rounds = (uint32_t)r;
-      res.total_rounds = (uint32_t)r;
-      res.messages = net.messages_delivered(b);
-      res.digest = net.last_digest(b);
-      res.iterations = (uint32_t)(r / 3);
-      Finish(members[i], TicketState::kDone, res, "");
+      res.engine_rounds = (uint32_t)rounds;
+      res.total_rounds = (uint32_t)rounds;
+      res.messages = net->messages_delivered();
+      res.digest = net->last_digest();
+      res.iterations = (uint32_t)(rounds / 3);
+      finish(i, TicketState::kDone, res, "");
     }
-  } catch (const std::exception& e) {
-    fail_rest(e.what());
   }
 }
 

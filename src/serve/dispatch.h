@@ -20,30 +20,30 @@ namespace treelocal::serve {
 // The daemon's solve queue and its single dispatcher thread: the component
 // that turns "batch" into "concurrent users". Requests are admitted into a
 // FIFO; the dispatcher pops the head and then sweeps the rest of the queue
-// for requests it can run in the SAME engine pass:
+// for requests it can serve in the SAME pass:
 //
-//  - kRakeCompress on the same resident graph coalesces into one
-//    BatchNetwork run, one instance per DISTINCT canonical parameter
-//    (RakeCompressCanonicalK): requests whose k's are provably
-//    transcript-identical share a single instance and fan the engine-level
-//    result back out. Per-instance results are bit-identical to a solo
-//    Network run of the same (graph, k) — same rounds, messages, and digest
-//    chain — which is the serving-correctness contract the concurrent tests
-//    pin.
+//  - kRakeCompress on the same resident graph coalesces into one pass over
+//    one reused Network: one engine run per DISTINCT canonical parameter
+//    (RakeCompressCanonicalK), run one after another. Requests whose k's
+//    are provably transcript-identical share a single run and fan its
+//    result back out. Results are bit-identical to a solo Network run of
+//    the same (graph, k) — same rounds, messages, and digest chain — which
+//    is the serving-correctness contract the concurrent tests pin.
 //  - kThm12Node on the same graph and problem coalesces via
-//    SolveNodeProblemOnTreeBatch (the decomposition phase of all k's is one
-//    batch pass, and the base and gather phases run once per distinct
-//    canonical k).
+//    SolveNodeProblemOnTreeBatch (every phase runs once per distinct
+//    canonical k on one engine).
 //  - kThm15Edge and kDecomposition run solo.
 //
-// The coalesced rake-compress pass is driven in RunUntil slices, so
-// cancellation and per-request round budgets act at slice boundaries
-// mid-run: a cancelled member's instance keeps running (the shared
-// transcript must not change under the other members) but its result is
-// dropped, and when every member of a pass is cancelled the engine is
-// abandoned at the slice boundary. Round-budget overruns surface as the
-// engine's MaxRoundsExceededError, mapped to kFailed with the reason
-// string.
+// Each rake-compress run is driven in RunUntil slices. At every slice
+// boundary the dispatcher checks every live member of the pass for
+// cancellation, and the running group's members for their round budgets. A
+// cancelled member's group keeps running for its other members (their
+// transcripts must not change) but its result is dropped; a group whose
+// members are all terminal is stopped at the boundary, or skipped if it has
+// not started. A run over its budget surfaces as the engine's
+// MaxRoundsExceededError and fails only that group's members, with the
+// reason string; each group's rounds and messages are counted in the stats
+// before its members finish.
 class Dispatcher {
  public:
   struct Options {

@@ -32,9 +32,9 @@ constexpr uint64_t Mix64(uint64_t x) {
 // Per-message content hash, keyed on the SENDER's external (node, port) so
 // the value is invariant to engine layout (NetworkOptions::relabel moves
 // channel indices, not senders) and to shard scheduling. A round's message
-// accumulator is the SUM mod 2^64 of these: commutative, so shards and
-// batch instances accumulate independently, and invertible, so a
-// last-write-wins overwrite on a port subtracts the earlier send back out.
+// accumulator is the SUM mod 2^64 of these: commutative, so shards
+// accumulate independently, and invertible, so a last-write-wins overwrite
+// on a port subtracts the earlier send back out.
 constexpr uint64_t MessageHash(int sender, int port, int64_t word0,
                                int64_t word1, uint8_t size) {
   uint64_t h = Mix64((static_cast<uint64_t>(static_cast<uint32_t>(sender))

@@ -37,11 +37,11 @@ class FaultInjectedError : public std::runtime_error {
 };
 
 // A one-shot fault plan. Thread-safe: the visit counter is a relaxed
-// atomic, so sharded engines (Network lanes, batch instance shards) may
-// hit the hooks concurrently; exactly one caller observes the
-// trigger and throws (the thread pool propagates the first exception).
-// Which shard that is may vary across runs — the contract is a clean
-// structured error, not which node it names.
+// atomic, so a sharded engine's lanes may hit the hooks concurrently;
+// exactly one caller observes the trigger and throws (the thread pool
+// propagates the first exception). Which shard that is may vary across
+// runs — the contract is a clean structured error, not which node it
+// names.
 class FaultInjector {
  public:
   // Throws at the round boundary immediately before round `round` executes.

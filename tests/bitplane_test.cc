@@ -1,11 +1,11 @@
 // Bit-plane batch kernels: the word-parallel paths must be bit-identical
 // to their scalar oracles at every level — Transpose64 vs a naive bit
 // loop, CvStepLanes vs CvStepScalar, FirstMissingColor vs sort + scan, and
-// the full BitplaneCvBatch runner vs a scalar BatchNetwork running the
-// same CvAlgorithm instances (every transcript field: colors, rounds,
-// messages, per-round stats, digest chain). The matrix covers batch widths
-// off the 64-lane grain, relabel on/off, mid-run instance dropout via
-// per-instance ID spaces, engine reuse, and multi-component forests.
+// the full BitplaneCvBatch runner vs one solo ColeVishkin3Color run per
+// instance (every transcript field: colors, rounds, messages, per-round
+// stats, digest chain). The matrix covers batch widths off the 64-lane
+// grain, shared and per-instance ids, mid-run instance dropout via
+// per-instance ID spaces, runner reuse, and multi-component forests.
 
 #include <algorithm>
 #include <bit>
@@ -23,13 +23,12 @@
 #include "src/graph/graph.h"
 #include "src/local/bitplane.h"
 #include "src/local/network.h"
+#include "src/support/digest.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
 namespace {
 
-using local::BatchNetwork;
-using local::NetworkOptions;
 using local::bitplane::BitplaneCvBatch;
 using local::bitplane::CvInstanceTranscript;
 using local::bitplane::CvIterations;
@@ -167,8 +166,34 @@ TEST(BitplaneKernels, CvStepLanesMatchesScalarAcrossCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Full-runner bit identity vs the scalar BatchNetwork oracle.
+// Full-runner bit identity vs solo scalar runs.
 // ---------------------------------------------------------------------------
+
+// The scalar oracle: instance b as its own solo ColeVishkin3Color run. The
+// level-0 digest chain is a pure function of the per-round stats
+// (support::ChainDigest with a zero content accumulator, exactly as every
+// engine folds it), so it is derived from the solo run's RoundStats.
+std::vector<CvInstanceTranscript> SoloTranscripts(
+    const Graph& forest, const std::vector<int>& parent,
+    const std::vector<std::vector<int64_t>>& ids,
+    const std::vector<int64_t>& id_space) {
+  std::vector<CvInstanceTranscript> out(ids.size());
+  for (size_t b = 0; b < ids.size(); ++b) {
+    const ColeVishkinResult r =
+        ColeVishkin3Color(forest, ids[b], parent, id_space[b]);
+    CvInstanceTranscript& t = out[b];
+    t.colors = r.colors;
+    t.rounds = r.rounds;
+    t.messages = r.messages;
+    t.round_stats = r.round_stats;
+    for (const local::RoundStats& rs : r.round_stats) {
+      t.last_digest = support::ChainDigest(t.last_digest, rs.active_nodes,
+                                           rs.messages_sent, 0);
+      t.round_digests.push_back(t.last_digest);
+    }
+  }
+  return out;
+}
 
 void ExpectTranscriptsEqual(const std::vector<CvInstanceTranscript>& got,
                             const std::vector<CvInstanceTranscript>& want,
@@ -214,32 +239,26 @@ BatchWorkload MakeWorkload(int n, int batch, bool per_instance_ids,
   return w;
 }
 
-void ExpectBitplaneMatchesScalarBatch(const Graph& forest, uint64_t seed,
-                                      const std::string& label) {
+void ExpectBitplaneMatchesSoloRuns(const Graph& forest, uint64_t seed,
+                                   const std::string& label) {
   const int n = forest.NumNodes();
   const std::vector<int> parent = ForestParents(forest);
   for (int batch : {1, 3, 64, 65, 100}) {
-    for (bool relabel_engine : {false, true}) {
-      for (bool relabel_ids : {false, true}) {
-        const std::string at = label + " B=" + std::to_string(batch) +
-                               (relabel_engine ? " relabel" : "") +
-                               (relabel_ids ? " per-instance-ids" : "");
-        BatchWorkload w = MakeWorkload(n, batch, relabel_ids, seed + batch);
-        NetworkOptions opt;
-        opt.relabel = relabel_engine;
-        BatchNetwork net(forest, w.ids[0], batch, 1, opt);
-        auto want = ColeVishkin3ColorBatch(net, parent, w.ids, w.id_space);
-        auto got =
-            RunColeVishkinBitplaneBatch(forest, parent, w.ids, w.id_space);
-        ExpectTranscriptsEqual(got, want, at);
-        if (testing::Test::HasFailure()) return;  // one matrix cell is enough
-      }
+    for (bool per_instance_ids : {false, true}) {
+      const std::string at = label + " B=" + std::to_string(batch) +
+                             (per_instance_ids ? " per-instance-ids" : "");
+      BatchWorkload w = MakeWorkload(n, batch, per_instance_ids, seed + batch);
+      auto want = SoloTranscripts(forest, parent, w.ids, w.id_space);
+      auto got =
+          RunColeVishkinBitplaneBatch(forest, parent, w.ids, w.id_space);
+      ExpectTranscriptsEqual(got, want, at);
+      if (testing::Test::HasFailure()) return;  // one matrix cell is enough
     }
   }
 }
 
 TEST(BitplaneCvIdentity, UniformRandomTree) {
-  ExpectBitplaneMatchesScalarBatch(UniformRandomTree(257, 11), 1000, "tree");
+  ExpectBitplaneMatchesSoloRuns(UniformRandomTree(257, 11), 1000, "tree");
 }
 
 TEST(BitplaneCvIdentity, MultiComponentForestWithIsolatedNode) {
@@ -247,45 +266,25 @@ TEST(BitplaneCvIdentity, MultiComponentForestWithIsolatedNode) {
   // the same round but lanes with different K_b still drop out mid-run.
   Graph g = Graph::FromEdges(
       9, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {5, 6}, {6, 7}});
-  ExpectBitplaneMatchesScalarBatch(g, 2000, "multi-component");
+  ExpectBitplaneMatchesSoloRuns(g, 2000, "multi-component");
 }
 
 TEST(BitplaneCvIdentity, DisjointStarUnion) {
-  ExpectBitplaneMatchesScalarBatch(StarUnion(300, 1, 17), 3000, "stars");
+  ExpectBitplaneMatchesSoloRuns(StarUnion(300, 1, 17), 3000, "stars");
 }
 
 TEST(BitplaneCvIdentity, PathAndTinyForests) {
-  ExpectBitplaneMatchesScalarBatch(Path(100), 4000, "path");
-  ExpectBitplaneMatchesScalarBatch(Path(1), 5000, "single-node");
-  ExpectBitplaneMatchesScalarBatch(Path(2), 6000, "single-edge");
+  ExpectBitplaneMatchesSoloRuns(Path(100), 4000, "path");
+  ExpectBitplaneMatchesSoloRuns(Path(1), 5000, "single-node");
+  ExpectBitplaneMatchesSoloRuns(Path(2), 6000, "single-edge");
 }
 
-TEST(BitplaneCvIdentity, SoloEngineCrossCheck) {
-  // The scalar-batch oracle itself is pinned against solo Network runs
-  // elsewhere; cross-check one instance end-to-end anyway so this suite is
-  // self-contained: bitplane == batch == solo.
-  const Graph tree = UniformRandomTree(180, 23);
-  const int n = tree.NumNodes();
-  const std::vector<int> parent = ForestParents(tree);
-  const std::vector<int64_t> ids = DefaultIds(n, 31);
-  const int64_t space = int64_t{n} * n * n;
-  auto solo = ColeVishkin3Color(tree, ids, parent, space);
-  auto planes = RunColeVishkinBitplaneBatch(tree, parent, {ids}, {space});
-  ASSERT_EQ(planes.size(), 1u);
-  std::vector<int> plane_colors(planes[0].colors.begin(),
-                                planes[0].colors.end());
-  EXPECT_EQ(plane_colors, solo.colors);
-  EXPECT_EQ(planes[0].rounds, solo.rounds);
-  EXPECT_EQ(planes[0].messages, solo.messages);
-  EXPECT_EQ(planes[0].round_stats, solo.round_stats);
-}
-
-TEST(BitplaneCvIdentity, RunnerAndEngineAreReusable) {
+TEST(BitplaneCvIdentity, RunnerIsReusable) {
   const Graph tree = UniformRandomTree(150, 41);
   const int n = tree.NumNodes();
   const std::vector<int> parent = ForestParents(tree);
-  BatchWorkload w64 = MakeWorkload(n, 64, /*relabel_ids=*/true, 7000);
-  BatchWorkload w5 = MakeWorkload(n, 5, /*relabel_ids=*/true, 8000);
+  BatchWorkload w64 = MakeWorkload(n, 64, /*per_instance_ids=*/true, 7000);
+  BatchWorkload w5 = MakeWorkload(n, 5, /*per_instance_ids=*/true, 8000);
 
   BitplaneCvBatch runner(tree, parent);
   auto first = runner.Run(w64.ids, w64.id_space);
@@ -295,15 +294,12 @@ TEST(BitplaneCvIdentity, RunnerAndEngineAreReusable) {
   auto first_again = runner.Run(w64.ids, w64.id_space);
   ExpectTranscriptsEqual(first_again, first, "runner reuse");
 
-  BatchNetwork net64(tree, w64.ids[0], 64);
-  auto want64 = ColeVishkin3ColorBatch(net64, parent, w64.ids, w64.id_space);
-  auto want64_again =
-      ColeVishkin3ColorBatch(net64, parent, w64.ids, w64.id_space);
-  ExpectTranscriptsEqual(want64_again, want64, "engine reuse");
-  ExpectTranscriptsEqual(first, want64, "reused-runner vs scalar");
-  BatchNetwork net5(tree, w5.ids[0], 5);
-  auto want5 = ColeVishkin3ColorBatch(net5, parent, w5.ids, w5.id_space);
-  ExpectTranscriptsEqual(second, want5, "width-switch run vs scalar");
+  ExpectTranscriptsEqual(first, SoloTranscripts(tree, parent, w64.ids,
+                                                 w64.id_space),
+                         "reused-runner vs scalar");
+  ExpectTranscriptsEqual(second,
+                         SoloTranscripts(tree, parent, w5.ids, w5.id_space),
+                         "width-switch run vs scalar");
 }
 
 TEST(BitplaneCvIdentity, InputValidation) {

@@ -25,7 +25,6 @@ namespace treelocal {
 namespace {
 
 using local::Algorithm;
-using local::BatchNetwork;
 using local::MaxRoundsExceededError;
 using local::Network;
 using local::NetworkOptions;
@@ -135,44 +134,6 @@ TEST(FaultTest, MidRoundVisitThrowIsStructuredAndEngineReusable) {
   run_case([&](const NetworkOptions& o) {
     return std::make_unique<ReferenceNetwork>(g, ids, o);
   }, "ReferenceNetwork");
-}
-
-TEST(FaultTest, BatchEngineFaultsAndStaysReusable) {
-  const int n = 120;
-  const std::vector<int> ks = {2, 3};
-  const Graph g = UniformRandomTree(n, 31);
-  const auto ids = DefaultIds(n, 32);
-  auto make_algs = [&](std::vector<std::unique_ptr<Algorithm>>& own) {
-    std::vector<Algorithm*> ptrs;
-    for (int k : ks) {
-      own.push_back(MakeRakeCompressAlgorithm(g, k));
-      ptrs.push_back(own.back().get());
-    }
-    return ptrs;
-  };
-  BatchNetwork clean(g, ids, 2, 2);
-  std::vector<std::unique_ptr<Algorithm>> clean_algs;
-  const std::vector<int> clean_rounds = clean.Run(make_algs(clean_algs),
-                                                  kMaxRounds);
-
-  for (int site = 0; site < 2; ++site) {
-    SCOPED_TRACE(site == 0 ? "round boundary" : "mid-round visit");
-    FaultInjector fault = site == 0 ? FaultInjector::KillAtRoundBoundary(1)
-                                    : FaultInjector::ThrowAtVisit(2 * n + 3);
-    NetworkOptions opt;
-    opt.fault = &fault;
-    BatchNetwork net(g, ids, 2, 2, opt);
-    std::vector<std::unique_ptr<Algorithm>> algs;
-    auto ptrs = make_algs(algs);
-    EXPECT_THROW(net.Run(ptrs, kMaxRounds), FaultInjectedError);
-    EXPECT_TRUE(fault.fired());
-    std::vector<std::unique_ptr<Algorithm>> algs2;
-    auto ptrs2 = make_algs(algs2);
-    EXPECT_EQ(net.Run(ptrs2, kMaxRounds), clean_rounds);
-    for (int b = 0; b < 2; ++b) {
-      EXPECT_EQ(net.last_digest(b), clean.last_digest(b));
-    }
-  }
 }
 
 TEST(FaultTest, FromSeedIsDeterministic) {
@@ -285,17 +246,6 @@ TEST(FaultTest, MaxRoundsErrorCarriesDiagnostics) {
     net.Run(alg, 5);
   }, "ReferenceNetwork");
 
-  // Batch: same structure; the digest is folded over per-instance chains,
-  // so only the round/active diagnostics are pinned here.
-  BatchNetwork batch(g, ids, 2);
-  NeverHaltAlg alg2;
-  try {
-    batch.Run({&alg, &alg2}, 5);
-    FAIL() << "expected MaxRoundsExceededError";
-  } catch (const MaxRoundsExceededError& e) {
-    EXPECT_EQ(e.round(), 5);
-    EXPECT_EQ(e.active_nodes(), n);
-  }
   // The old catch sites still work: the typed error is a runtime_error.
   Network net(g, ids);
   EXPECT_THROW(net.Run(alg, 5), std::runtime_error);

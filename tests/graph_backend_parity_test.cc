@@ -1,8 +1,8 @@
 // Backend parity: a CompactGraph-backed engine run — in-RAM or mmap-opened
 // from a .cgr file — must be bit-identical to the Graph-backed run on the
 // same input: digest chains, rounds, message totals, RoundStats, and total
-// visits. Pinned across the whole engine matrix (Network / ReferenceNetwork
-// / BatchNetwork, relabel on/off, T in {1, 2, 8}) on trees, forests, star
+// visits. Pinned across the whole engine matrix (Network / ReferenceNetwork,
+// relabel on/off, T in {1, 2, 8}) on trees, forests, star
 // unions, hubbed forests, and multi-component graphs, for a dense and a
 // wake-scheduled algorithm.
 // This is THE determinism contract of the compressed backend: ports name
@@ -27,7 +27,6 @@
 #include "src/local/network.h"
 #include "src/local/reference_network.h"
 #include "src/local/snapshot.h"
-#include "src/support/digest.h"
 #include "src/support/rng.h"
 
 namespace treelocal {
@@ -187,7 +186,6 @@ RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
   local::NetworkOptions opts;
   opts.relabel = relabel;
   Alg alg(g);
-  Alg alg2(g);
   const int max_rounds = Alg::kRounds + 4;
   RunRecord rec;
   if (engine == "network") {
@@ -196,28 +194,11 @@ RunRecord RunConfig(GraphView g, const std::vector<int64_t>& ids,
   } else if (engine == "parallel") {
     local::Network net(g, ids, threads, opts);
     RecordSolo(net, net.Run(alg, max_rounds), rec);
-  } else if (engine == "reference") {
+  } else {
     local::ReferenceNetwork net(g, ids, opts);
     RecordSolo(net, net.Run(alg, max_rounds), rec);
-  } else {  // batch / pbatch: two instances, fold both transcripts
-    const int batch = 2;
-    local::BatchNetwork net(g, ids, batch, engine == "pbatch" ? threads : 1,
-                            opts);
-    std::vector<local::Algorithm*> algs = {&alg, &alg2};
-    std::vector<int> rounds = net.Run(algs, max_rounds);
-    for (int b = 0; b < batch; ++b) {
-      rec.rounds += rounds[b];
-      rec.messages += net.messages_delivered(b);
-      rec.wakes += net.wakes(b);
-      rec.digest = support::Fnv1a64(&b, sizeof(b), rec.digest) ^
-                   net.last_digest(b);
-      const auto& stats = net.round_stats(b);
-      rec.visits += TotalVisits(stats);
-      rec.stats.insert(rec.stats.end(), stats.begin(), stats.end());
-    }
   }
   EXPECT_EQ(alg.degree_mismatches(), 0) << engine;
-  EXPECT_EQ(alg2.degree_mismatches(), 0) << engine;
   return rec;
 }
 
@@ -256,7 +237,7 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
   };
   const std::vector<Config> configs = {
       {"network", 1},  {"parallel", 1}, {"parallel", 2}, {"parallel", 8},
-      {"reference", 1}, {"batch", 1},   {"pbatch", 2},   {"pbatch", 8},
+      {"reference", 1},
   };
   // The hubbed forest's hub nodes take CompactGraph's len8_ == 255 escape,
   // the backend's slowest Degree path; ctx.degree() must agree there too.
@@ -270,10 +251,9 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
     for (const bool wake : {false, true}) {
       const auto run = wake ? RunConfig<WakeEchoAlgorithm>
                             : RunConfig<EchoAlgorithm>;
-      // Every config must also agree with its engine family's serial CSR
-      // run without relabel, not only with its own CSR run.
+      // Every config must also agree with the serial CSR run without
+      // relabel, not only with its own CSR run.
       const RunRecord solo_canon = run(g, ids, "network", 1, false);
-      const RunRecord batch_canon = run(g, ids, "batch", 1, false);
       if (wake) {
         EXPECT_GT(solo_canon.wakes, 0) << w.name << " never woke a node";
       }
@@ -289,9 +269,7 @@ TEST(GraphBackendParityTest, EngineMatrixBitIdentical) {
           EXPECT_EQ(base.digest, ram.digest) << tag;
           EXPECT_TRUE(base == ram) << tag << " (in-RAM compact diverged)";
           EXPECT_TRUE(base == map) << tag << " (mmap compact diverged)";
-          const bool batch =
-              std::string(c.engine).find("batch") != std::string::npos;
-          EXPECT_TRUE(base == (batch ? batch_canon : solo_canon))
+          EXPECT_TRUE(base == solo_canon)
               << tag << " (diverged from the unrelabeled serial run)";
         }
       }
@@ -320,10 +298,13 @@ TEST(GraphBackendParityTest, RakeCompressPipelineParity) {
       EXPECT_EQ(base.round_stats, got.round_stats) << family;
       const RakeCompressResult ref = RunRakeCompressReference(*cg, ids, k);
       EXPECT_EQ(base.round_stats, ref.round_stats) << family;
-      const auto deduped =
-          RunRakeCompressBatchDeduped(*cg, ids, {k, k + 5}, 2);
-      EXPECT_EQ(base.iteration, deduped[0].iteration) << family;
-      EXPECT_EQ(base.round_stats, deduped[0].round_stats) << family;
+      // A reused sharded engine over the compact backend, as a k-sweep
+      // drives it: a different k first, then k.
+      local::Network net(*cg, ids, 2);
+      RunRakeCompress(net, k + 5);
+      const RakeCompressResult reused = RunRakeCompress(net, k);
+      EXPECT_EQ(base.iteration, reused.iteration) << family;
+      EXPECT_EQ(base.round_stats, reused.round_stats) << family;
     }
   }
 }

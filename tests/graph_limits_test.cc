@@ -42,12 +42,12 @@ TEST(GraphLimitsTest, ChannelScaleBoundary) {
   EXPECT_NO_THROW(local::internal::ValidateChannelScale(100, max_m, "Network"));
   for (const int64_t m : {max_m + 1, max_m + 2, int64_t{1} << 40}) {
     try {
-      local::internal::ValidateChannelScale(100, m, "BatchNetwork");
+      local::internal::ValidateChannelScale(100, m, "ReferenceNetwork");
       FAIL() << "m = " << m << " passed the channel-scale limit";
     } catch (const GraphLimitError& e) {
       const std::string what = e.what();
       EXPECT_NE(what.find(std::to_string(m)), std::string::npos) << what;
-      EXPECT_NE(what.find("BatchNetwork"), std::string::npos) << what;
+      EXPECT_NE(what.find("ReferenceNetwork"), std::string::npos) << what;
     }
   }
 }

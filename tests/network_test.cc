@@ -212,6 +212,31 @@ TEST(NetworkTest, EpochNearWrapRearmsAndStaysCorrect) {
   EXPECT_LT(net.epoch_for_testing(), 100);
 }
 
+// Abandon drops a paused run: the next run, with any algorithm, starts
+// fresh and matches a run on a fresh engine (the daemon stops a group this
+// way once all of its requesters have cancelled).
+TEST(NetworkTest, AbandonedPausedRunLeavesNoTrace) {
+  const int n = 40;
+  Graph g = Path(n);
+  auto ids = DefaultIds(n, 9);
+  Network fresh(g, ids);
+  CollectNeighborIds want(n);
+  const int want_rounds = fresh.Run(want, 10);
+
+  Network net(g, ids);
+  Flood flood(n);
+  EXPECT_EQ(net.RunUntil(flood, 100, 3), 3);
+  ASSERT_TRUE(net.paused());
+  net.Abandon();
+  EXPECT_FALSE(net.paused());
+  CollectNeighborIds got(n);
+  EXPECT_EQ(net.Run(got, 10), want_rounds);
+  EXPECT_EQ(got.collected_, want.collected_);
+  EXPECT_EQ(net.messages_delivered(), fresh.messages_delivered());
+  EXPECT_EQ(net.round_stats(), fresh.round_stats());
+  EXPECT_EQ(net.round_digests(), fresh.round_digests());
+}
+
 // A huge max_rounds must neither trip the guard into re-arming on every call
 // (the old negative-threshold bug) nor be able to overflow the stamp: the
 // wrap checks are independent of max_rounds.

@@ -1,14 +1,14 @@
-// Determinism suite for the sharded engines: Network (worklist shards)
-// and BatchNetwork (instance shards) at T > 1 must be bit-identical to the
-// same engine at T = 1 — outputs, executed rounds, message counts, and
-// per-round RoundStats — for every thread count, across uneven worklist
-// sizes (n not divisible by T, n < T, empty shards) and mid-run halting
-// patterns that reshuffle the shard boundaries every round. Plus the
-// NetworkOptions::relabel bit-identity contract, engine reuse, exception
-// propagation out of sharded rounds, the pipeline entry points' thread
-// parameter (rake-compress, Linial, Cole-Vishkin, distributed sweep,
-// Theorem 12), rejection of thread counts outside the pool's range, and
-// the round loops' send look-ahead at shard boundaries.
+// Determinism suite for the sharded engine: Network (worklist shards) at
+// T > 1 must be bit-identical to the same engine at T = 1 — outputs,
+// executed rounds, message counts, and per-round RoundStats — for every
+// thread count, across uneven worklist sizes (n not divisible by T, n < T,
+// empty shards) and mid-run halting patterns that reshuffle the shard
+// boundaries every round. Plus the NetworkOptions::relabel bit-identity
+// contract, engine reuse, exception propagation out of sharded rounds, the
+// pipeline entry points' thread parameter (rake-compress, Linial,
+// Cole-Vishkin, distributed sweep, Theorem 12), rejection of thread counts
+// outside the pool's range, and the round loops' send look-ahead at shard
+// boundaries.
 #include "src/local/network.h"
 
 #include <gtest/gtest.h>
@@ -36,7 +36,6 @@ using local::Message;
 using local::Network;
 using local::NetworkOptions;
 using local::NodeContext;
-using local::BatchNetwork;
 using local::ReferenceNetwork;
 using local::RoundStats;
 
@@ -309,41 +308,31 @@ TEST(ParallelNetworkTest, RelabelRakeCompressOnForestUnion) {
   EXPECT_EQ(got.round_stats, want.round_stats);
 }
 
-// BatchNetwork: every instance's transcript must equal its solo
-// Network run, for every shard count, with instances dropping out at
-// different rounds (uneven k mix).
-TEST(ParallelNetworkTest, ParallelBatchBitIdenticalAllT) {
+// A k-sweep on one reused engine (the shape of the daemon's coalesced
+// rake-compress pass and the Thm 12 k-sweep): every run must equal its
+// fresh solo run, for every shard count, with runs of different lengths
+// back to back (uneven k mix) and a repeated sweep on the same engine.
+TEST(ParallelNetworkTest, ReusedEngineKSweepBitIdenticalAllT) {
   const int n = 257;
   Graph tree = UniformRandomTree(n, 5000);
   auto ids = DefaultIds(n, 5001);
-  const std::vector<int> ks = {2, 3, 2, 16, 5};  // dropout at different rounds
+  const std::vector<int> ks = {2, 3, 2, 16, 5};
   std::vector<RakeCompressResult> want;
   for (int k : ks) want.push_back(RunRakeCompress(tree, ids, k));
   for (int threads : {1, 2, 3, 8}) {
-    BatchNetwork net(tree, ids, static_cast<int>(ks.size()), threads);
-    std::vector<RakeCompressResult> got = RunRakeCompressBatch(net, ks);
-    for (size_t b = 0; b < ks.size(); ++b) {
-      EXPECT_EQ(got[b].iteration, want[b].iteration) << "T=" << threads;
-      EXPECT_EQ(got[b].compressed, want[b].compressed) << "T=" << threads;
-      EXPECT_EQ(got[b].engine_rounds, want[b].engine_rounds) << "T=" << threads;
-      EXPECT_EQ(got[b].messages, want[b].messages) << "T=" << threads;
-      EXPECT_EQ(got[b].round_stats, want[b].round_stats) << "T=" << threads;
+    Network net(tree, ids, threads);
+    for (int pass = 0; pass < 2; ++pass) {
+      for (size_t b = 0; b < ks.size(); ++b) {
+        const RakeCompressResult got = RunRakeCompress(net, ks[b]);
+        const std::string at =
+            "T=" + std::to_string(threads) + " k=" + std::to_string(ks[b]);
+        EXPECT_EQ(got.iteration, want[b].iteration) << at;
+        EXPECT_EQ(got.compressed, want[b].compressed) << at;
+        EXPECT_EQ(got.engine_rounds, want[b].engine_rounds) << at;
+        EXPECT_EQ(got.messages, want[b].messages) << at;
+        EXPECT_EQ(got.round_stats, want[b].round_stats) << at;
+      }
     }
-  }
-}
-
-TEST(ParallelNetworkTest, ParallelBatchReuse) {
-  const int n = 120;
-  Graph tree = UniformRandomTree(n, 5100);
-  auto ids = DefaultIds(n, 5101);
-  const std::vector<int> ks = {2, 4, 8};
-  BatchNetwork net(tree, ids, 3, 2);
-  std::vector<RakeCompressResult> first = RunRakeCompressBatch(net, ks);
-  std::vector<RakeCompressResult> second = RunRakeCompressBatch(net, ks);
-  for (size_t b = 0; b < ks.size(); ++b) {
-    EXPECT_EQ(first[b].iteration, second[b].iteration);
-    EXPECT_EQ(first[b].messages, second[b].messages);
-    EXPECT_EQ(first[b].round_stats, second[b].round_stats);
   }
 }
 
@@ -408,11 +397,11 @@ TEST(ParallelNetworkTest, PipelineOverloadsMatchSerial) {
     ASSERT_EQ(thm_p.labeling.GetSlot(e, 1), thm.labeling.GetSlot(e, 1));
   }
 
-  std::vector<Thm12Result> sweep_batch =
+  std::vector<Thm12Result> k_sweep =
       SolveNodeProblemOnTreeBatch(mis, g, ids, space, {2, 4, 9}, 2);
   Thm12Result want_k9 = SolveNodeProblemOnTree(mis, g, ids, space, 9);
-  EXPECT_EQ(sweep_batch[2].rounds_total, want_k9.rounds_total);
-  EXPECT_EQ(sweep_batch[2].engine_messages, want_k9.engine_messages);
+  EXPECT_EQ(k_sweep[2].rounds_total, want_k9.rounds_total);
+  EXPECT_EQ(k_sweep[2].engine_messages, want_k9.engine_messages);
 }
 
 // Epoch wrap guard parity with Network: a run started near INT32_MAX

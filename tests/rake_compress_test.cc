@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 
 #include "src/core/rake_compress.h"
+#include "src/core/transform_node.h"
 #include "src/graph/algorithms.h"
 #include "src/graph/generators.h"
+#include "src/problems/mis.h"
 #include "src/support/mathutil.h"
 #include "src/support/rng.h"
 
@@ -194,10 +196,16 @@ void ExpectSameResult(const RakeCompressResult& a, const RakeCompressResult& b) 
   EXPECT_EQ(a.round_stats, b.round_stats);
 }
 
-// Shared-transcript dedup: a sweep with duplicate ks and a tail of ks at or
-// above Delta must be bit-identical to the undeduped batch (and to the solo
-// runs), even though the deduped engine runs far fewer instances.
-TEST(RakeCompressDedup, BitIdenticalToUndedupedBatch) {
+// Exclusive bound on DefaultIds(n, .), which draws from [1, n^3].
+int64_t IdSpaceOf(int n) { return int64_t{n} * n * n + 1; }
+
+// Shared-transcript dedup, the rule every k-sweep relies on: a sweep with
+// duplicate ks and a tail of ks at or above Delta collapses to fewer
+// canonical ks, each canonical k's solo run is bit-identical to the solo run
+// of every k it stands for, and the Thm 12 k-sweep — which runs only the
+// canonical ks, one after another on one engine — matches the solo runs.
+TEST(RakeCompressDedup, KSweepBitIdenticalToSoloRuns) {
+  const MisProblem mis;
   for (uint64_t seed : {21u, 22u}) {
     Graph g = UniformRandomTree(700, seed);
     auto ids = DefaultIds(700, seed + 50);
@@ -206,16 +214,20 @@ TEST(RakeCompressDedup, BitIdenticalToUndedupedBatch) {
     const std::vector<int> ks = {2,         3,     delta - 1, delta,
                                  delta + 1, delta, 2 * delta, 300,
                                  2,         delta + 7};
+    const CanonicalKGroups groups = GroupByCanonicalK(ks, delta);
+    EXPECT_LT(groups.unique.size(), ks.size());
+    for (size_t b = 0; b < ks.size(); ++b) {
+      ExpectSameResult(RunRakeCompress(g, ids, groups.unique[groups.slot[b]]),
+                       RunRakeCompress(g, ids, ks[b]));
+    }
     for (int threads : {1, 3}) {
-      auto deduped = RunRakeCompressBatchDeduped(g, ids, ks, threads);
-      local::BatchNetwork net(g, ids, static_cast<int>(ks.size()));
-      auto full = RunRakeCompressBatch(net, ks);
-      ASSERT_EQ(deduped.size(), ks.size());
+      const auto sweep = SolveNodeProblemOnTreeBatch(
+          mis, g, ids, IdSpaceOf(700), ks, threads);
+      ASSERT_EQ(sweep.size(), ks.size());
       for (size_t b = 0; b < ks.size(); ++b) {
-        ExpectSameResult(deduped[b], full[b]);
-      }
-      for (size_t b = 0; b < ks.size(); ++b) {
-        ExpectSameResult(deduped[b], RunRakeCompress(g, ids, ks[b]));
+        EXPECT_EQ(sweep[b].k, ks[b]);
+        ExpectSameResult(sweep[b].rake_compress,
+                         RunRakeCompress(g, ids, ks[b]));
       }
     }
   }
@@ -225,19 +237,25 @@ TEST(RakeCompressDedup, AllAboveDeltaCollapsesToOneTranscript) {
   Graph g = Star(64);  // Delta = 63
   auto ids = DefaultIds(64, 5);
   const std::vector<int> ks = {63, 64, 100, 1000};
-  auto results = RunRakeCompressBatchDeduped(g, ids, ks);
-  for (size_t b = 1; b < ks.size(); ++b) {
-    ExpectSameResult(results[b], results[0]);
+  EXPECT_EQ(GroupByCanonicalK(ks, g.MaxDegree()).unique,
+            std::vector<int>{63});
+  const MisProblem mis;
+  const auto sweep =
+      SolveNodeProblemOnTreeBatch(mis, g, ids, IdSpaceOf(64), ks);
+  for (size_t b = 0; b < ks.size(); ++b) {
+    ExpectSameResult(sweep[b].rake_compress, RunRakeCompress(g, ids, ks[b]));
   }
-  ExpectSameResult(results[0], RunRakeCompress(g, ids, 63));
+  ExpectSameResult(sweep[0].rake_compress, RunRakeCompress(g, ids, 63));
 }
 
 TEST(RakeCompressDedup, ValidatesEveryKEvenWhenDeduped) {
   Graph g = Path(8);
   auto ids = DefaultIds(8, 6);
-  EXPECT_THROW(RunRakeCompressBatchDeduped(g, ids, {4, 1}),
+  const MisProblem mis;
+  const int64_t space = IdSpaceOf(8);
+  EXPECT_THROW(SolveNodeProblemOnTreeBatch(mis, g, ids, space, {4, 1}),
                std::invalid_argument);
-  EXPECT_TRUE(RunRakeCompressBatchDeduped(g, ids, {}).empty());
+  EXPECT_TRUE(SolveNodeProblemOnTreeBatch(mis, g, ids, space, {}).empty());
 }
 
 TEST(RakeCompressDedup, GroupByCanonicalKFirstSeenOrder) {

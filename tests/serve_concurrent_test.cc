@@ -442,6 +442,108 @@ TEST_F(ServeConcurrentTest, Thm12PassCountsEachCanonicalKOnce) {
   server_->Stop();
 }
 
+// A rake-compress pass runs one group per canonical k, one after another
+// on one engine, and the groups are isolated from each other:
+//  - a member over its round budget fails only its own group, after the
+//    engine ran just the rounds the budget allowed, and its pass-mates get
+//    their solo answers;
+//  - a group whose only member is cancelled after the pass collected it,
+//    but before the group starts, never runs at all.
+// engine_rounds / engine_messages count exactly the groups that ran.
+TEST_F(ServeConcurrentTest, RakeCompressPassIsolatesGroups) {
+  StartServer({});
+  const Graph big = UniformRandomTree(200000, 53);
+  const Graph mid = UniformRandomTree(200000, 59);
+  const Graph small = UniformRandomTree(301, 61);
+  ASSERT_GT(small.MaxDegree(), 3);  // k = 2, 3 and 8 are three groups
+  auto c = Connect();
+  const uint64_t big_key = Register(*c, big);
+  const uint64_t mid_key = Register(*c, mid);
+  const uint64_t small_key = Register(*c, small);
+  std::string error;
+
+  auto submit = [&](uint64_t key, int k, int max_rounds) {
+    SolveSpec spec;
+    spec.k = k;
+    spec.max_rounds = max_rounds;
+    uint64_t ticket = 0;
+    EXPECT_TRUE(c->Solve(key, spec, &ticket, &error)) << error;
+    return ticket;
+  };
+  auto fetch = [&](uint64_t ticket, SolveResult* result, std::string* why) {
+    TicketState state = TicketState::kQueued;
+    EXPECT_TRUE(c->Fetch(ticket, /*block=*/true, &state, result, why, &error))
+        << error;
+    return state;
+  };
+  auto expect_solo = [&](uint64_t ticket, const Expected& e, int k) {
+    SolveResult result;
+    std::string why;
+    ASSERT_EQ(fetch(ticket, &result, &why), TicketState::kDone)
+        << "k=" << k << " " << why;
+    EXPECT_EQ(result.engine_rounds, e.engine_rounds) << "k=" << k;
+    EXPECT_EQ(result.messages, e.messages) << "k=" << k;
+    EXPECT_EQ(result.digest, e.digest) << "k=" << k;
+  };
+
+  // Pass 1, queued behind a big head: the k = 3 member's budget of one
+  // round fails its group after round 0; k = 2 and k = 8 are untouched.
+  submit(big_key, 2, 0);
+  const uint64_t t2 = submit(small_key, 2, 0);
+  const uint64_t t3 = submit(small_key, 3, 1);
+  const uint64_t t8 = submit(small_key, 8, 0);
+  const Expected small2 = ExpectRake(small, 2);
+  const Expected small8 = ExpectRake(small, 8);
+  expect_solo(t2, small2, 2);
+  expect_solo(t8, small8, 8);
+  SolveResult result;
+  std::string why;
+  EXPECT_EQ(fetch(t3, &result, &why), TicketState::kFailed);
+  EXPECT_NE(why.find("round budget"), std::string::npos) << why;
+
+  // Pass 2, again behind a big head, on a big graph so that its k = 2 and
+  // k = 3 groups run long: the k = 8 member is cancelled once the pass has
+  // collected it (kRunning), which is before its group can start.
+  submit(big_key, 2, 0);
+  const uint64_t m2 = submit(mid_key, 2, 0);
+  const uint64_t m3 = submit(mid_key, 3, 0);
+  const uint64_t m8 = submit(mid_key, 8, 0);
+  TicketState state = TicketState::kQueued;
+  while (state == TicketState::kQueued) {
+    ASSERT_TRUE(
+        c->Fetch(m8, /*block=*/false, &state, &result, &why, &error))
+        << error;
+  }
+  ASSERT_EQ(state, TicketState::kRunning);
+  ASSERT_TRUE(c->Cancel(m8, &state, &error)) << error;
+  expect_solo(m2, ExpectRake(mid, 2), 2);
+  expect_solo(m3, ExpectRake(mid, 3), 3);
+  EXPECT_EQ(fetch(m8, &result, &why), TicketState::kCancelled);
+
+  ServerStats stats;
+  ASSERT_TRUE(c->Stats(&stats, &error)) << error;
+  EXPECT_EQ(stats.batches, 4u);
+  EXPECT_EQ(stats.max_batch, 3u);
+  EXPECT_EQ(stats.completed, 6u);
+  EXPECT_EQ(stats.failed, 1u);
+  EXPECT_EQ(stats.cancelled, 1u);
+  // The failed group ran round 0 only: every node broadcast its degree.
+  const RakeCompressResult small3 =
+      RunRakeCompress(small, IotaIds(small.NumNodes()), 3);
+  const Expected head = ExpectRake(big, 2);
+  const Expected mid2 = ExpectRake(mid, 2);
+  const Expected mid3 = ExpectRake(mid, 3);
+  EXPECT_EQ(stats.engine_rounds,
+            2 * (uint64_t)head.engine_rounds + small2.engine_rounds + 1 +
+                small8.engine_rounds + mid2.engine_rounds +
+                mid3.engine_rounds);
+  EXPECT_EQ(stats.engine_messages,
+            (uint64_t)(2 * head.messages + small2.messages +
+                       small3.round_stats[0].messages_sent + small8.messages +
+                       mid2.messages + mid3.messages));
+  server_->Stop();
+}
+
 // Cancelling a RUNNING solve halts it at the next slice boundary (the
 // mid-run-halt path). A tight slice makes the window easy to hit; if the
 // run still wins the race the ticket lands kDone — either way it reaches a
@@ -663,8 +765,8 @@ TEST_F(ServeConcurrentTest, FullQueueRejectsThenDrainsAndAccepts) {
   server_->Stop();
 }
 
-// Engine-threads > 1 must not change any answer (the BatchNetwork
-// determinism contract, now load-bearing for serving).
+// Engine-threads > 1 must not change any answer (the Network determinism
+// contract, load-bearing for serving).
 TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
   Server::Options opt;
   opt.engine_threads = 3;

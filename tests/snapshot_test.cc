@@ -27,7 +27,6 @@ namespace treelocal {
 namespace {
 
 using local::Algorithm;
-using local::BatchNetwork;
 using local::Network;
 using local::NetworkOptions;
 using local::ReadSnapshot;
@@ -235,114 +234,6 @@ TEST(SnapshotTest, FinishedSnapshotRoundTripsByteExact) {
   EXPECT_EQ(CheckpointBytes(net2), bytes);
 }
 
-// Batch sections are the solo sections: instance b of a BatchNetwork
-// checkpoint equals the snapshot a solo Network running the same parameter
-// writes, byte-for-byte in the canonical struct.
-TEST(SnapshotTest, BatchInstanceSectionsMatchSolo) {
-  const int n = 180;
-  const std::vector<int> ks = {2, 3, 5};
-  const Graph g = UniformRandomTree(n, 71);
-  const auto ids = DefaultIds(n, 72);
-  NetworkOptions opt;
-  opt.digest_messages = true;
-
-  BatchNetwork batch(g, ids, static_cast<int>(ks.size()), 2, opt);
-  std::vector<std::unique_ptr<Algorithm>> algs;
-  std::vector<Algorithm*> alg_ptrs;
-  for (int k : ks) {
-    algs.push_back(MakeRakeCompressAlgorithm(g, k));
-    alg_ptrs.push_back(algs.back().get());
-  }
-  const std::vector<int> rounds = batch.Run(alg_ptrs, kMaxRounds);
-  const SnapshotData got = ParseBytes(CheckpointBytes(batch));
-  EXPECT_EQ(got.engine_kind, SnapshotEngineKind::kBatchNetwork);
-  ASSERT_EQ(got.batch, static_cast<int>(ks.size()));
-
-  for (size_t b = 0; b < ks.size(); ++b) {
-    SCOPED_TRACE("instance " + std::to_string(b));
-    const SnapshotData solo = FinalImage(g, ids, ks[b], /*digest=*/true);
-    EXPECT_EQ(rounds[b], solo.round);
-    ASSERT_EQ(solo.instances.size(), 1u);
-    EXPECT_TRUE(got.instances[b] == solo.instances[0]);
-    EXPECT_EQ(batch.round_digests(static_cast<int>(b)).back(),
-              solo.instances[0].rounds.back().digest);
-  }
-}
-
-// Mid-run batch checkpoint resumes bit-identically on a fresh batch engine
-// (including one with a different thread count).
-TEST(SnapshotTest, BatchResumeBitIdentical) {
-  const int n = 160;
-  const std::vector<int> ks = {2, 4};
-  const Graph g = RandomRecursiveTree(n, 81);
-  const auto ids = DefaultIds(n, 82);
-
-  auto make_algs = [&](std::vector<std::unique_ptr<Algorithm>>& own) {
-    std::vector<Algorithm*> ptrs;
-    for (int k : ks) {
-      own.push_back(MakeRakeCompressAlgorithm(g, k));
-      ptrs.push_back(own.back().get());
-    }
-    return ptrs;
-  };
-
-  // Uninterrupted run: the per-instance "want".
-  BatchNetwork clean(g, ids, 2, 1);
-  std::vector<std::unique_ptr<Algorithm>> clean_algs;
-  clean.Run(make_algs(clean_algs), kMaxRounds);
-  const std::string want = CheckpointBytes(clean);
-
-  // Pause, checkpoint, resume on a differently-sharded fresh engine.
-  BatchNetwork first(g, ids, 2, 2);
-  std::vector<std::unique_ptr<Algorithm>> first_algs;
-  first.RunUntil(make_algs(first_algs), kMaxRounds, 2);
-  ASSERT_TRUE(first.paused());
-  const std::string mid = CheckpointBytes(first);
-
-  BatchNetwork second(g, ids, 2, 1);
-  std::vector<std::unique_ptr<Algorithm>> second_algs;
-  auto ptrs = make_algs(second_algs);
-  ResumeBytes(second, mid);
-  second.Run(ptrs, kMaxRounds);
-  ASSERT_TRUE(second.finished());
-  EXPECT_EQ(CheckpointBytes(second), want);
-}
-
-// batch == 1 makes BatchNetwork and Network interchangeable through the
-// snapshot: each resumes the other's checkpoint.
-TEST(SnapshotTest, SoloAndBatchOneInterchange) {
-  const int n = 140, k = 3, pause = 2;
-  const Graph g = UniformRandomTree(n, 61);
-  const auto ids = DefaultIds(n, 62);
-  const SnapshotData want = FinalImage(g, ids, k, /*digest_messages=*/false);
-
-  // Solo records, batch-of-1 resumes.
-  Network solo(g, ids);
-  auto alg = MakeRakeCompressAlgorithm(g, k);
-  solo.RunUntil(*alg, kMaxRounds, pause);
-  ASSERT_TRUE(solo.paused());
-  BatchNetwork b1(g, ids, 1);
-  auto balg = MakeRakeCompressAlgorithm(g, k);
-  ResumeBytes(b1, CheckpointBytes(solo));
-  b1.Run({balg.get()}, kMaxRounds);
-  SnapshotData got = ParseBytes(CheckpointBytes(b1));
-  got.engine_kind = want.engine_kind;
-  EXPECT_TRUE(got == want);
-
-  // Batch-of-1 records, solo resumes.
-  BatchNetwork b2(g, ids, 1);
-  auto balg2 = MakeRakeCompressAlgorithm(g, k);
-  b2.RunUntil({balg2.get()}, kMaxRounds, pause);
-  ASSERT_TRUE(b2.paused());
-  Network solo2(g, ids);
-  auto alg2 = MakeRakeCompressAlgorithm(g, k);
-  ResumeBytes(solo2, CheckpointBytes(b2));
-  solo2.Run(*alg2, kMaxRounds);
-  SnapshotData got2 = ParseBytes(CheckpointBytes(solo2));
-  got2.engine_kind = want.engine_kind;
-  EXPECT_TRUE(got2 == want);
-}
-
 // Digest chains are part of the bit-identity contract directly (not just
 // via snapshots): every engine produces the same per-round chain at both
 // digest levels, and the content level actually changes the chain.
@@ -368,16 +259,10 @@ TEST(SnapshotTest, DigestChainsIdenticalAcrossEngines) {
     auto a3 = MakeRakeCompressAlgorithm(g, k);
     ref.Run(*a3, kMaxRounds);
 
-    BatchNetwork batch(g, ids, 1, 1, opt);
-    auto a4 = MakeRakeCompressAlgorithm(g, k);
-    batch.Run({a4.get()}, kMaxRounds);
-
     EXPECT_EQ(net.round_digests(), par.round_digests());
     EXPECT_EQ(net.round_digests(), ref.round_digests());
-    EXPECT_EQ(net.round_digests(), batch.round_digests(0));
     EXPECT_EQ(net.round_message_accs(), par.round_message_accs());
     EXPECT_EQ(net.round_message_accs(), ref.round_message_accs());
-    EXPECT_EQ(net.round_message_accs(), batch.round_message_accs(0));
     EXPECT_EQ(net.last_digest(), net.round_digests().back());
     if (digest_messages) {
       // The content level folds message words in: a run that sends anything
@@ -454,16 +339,53 @@ TEST(SnapshotTest, ResumeRejectsContractViolations) {
     Network net(g, ids, opt);
     EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
   }
-  {  // Wrong batch width.
-    BatchNetwork net(g, ids, 3);
-    EXPECT_THROW(ResumeBytes(net, bytes), SnapshotError);
-  }
   {  // Resume validates lazily against the algorithm's stride at RunUntil.
     Network net(g, ids);
     ResumeBytes(net, bytes);
     HaltNowAlg wrong;
     EXPECT_THROW(net.Run(wrong, kMaxRounds), SnapshotError);
   }
+}
+
+// The snapshot format still carries a batch width and the kBatchNetwork
+// tag, written by the multi-instance engine this repository used to have.
+// Such a file parses, but every engine resumes only one instance, so a
+// batch = 2 image is refused with a structured SnapshotError naming the
+// width — never a silent resume of instance 0.
+TEST(SnapshotTest, ResumeRejectsMultiInstanceSnapshot) {
+  const Graph g = UniformRandomTree(96, 51);
+  const auto ids = DefaultIds(96, 52);
+  SnapshotData batch = ParseBytes(RecordMidRun(g, ids, 2));
+  batch.engine_kind = SnapshotEngineKind::kBatchNetwork;
+  batch.batch = 2;
+  batch.instances.push_back(batch.instances[0]);
+  std::ostringstream out;
+  WriteSnapshot(out, batch);
+  const std::string bytes = out.str();
+  EXPECT_TRUE(ParseBytes(bytes) == batch);
+
+  auto expect_refused = [&](auto& net, const char* engine) {
+    try {
+      ResumeBytes(net, bytes);
+      ADD_FAILURE() << engine << " resumed a batch = 2 snapshot";
+    } catch (const SnapshotError& e) {
+      EXPECT_NE(std::string(e.what()).find("2 instance(s)"),
+                std::string::npos)
+          << e.what();
+    }
+  };
+  Network net(g, ids);
+  expect_refused(net, "Network");
+  Network par(g, ids, 2);
+  expect_refused(par, "Network T=2");
+  ReferenceNetwork ref(g, ids);
+  expect_refused(ref, "ReferenceNetwork");
+
+  // The refused engine is untouched: it still runs from scratch.
+  auto alg = MakeRakeCompressAlgorithm(g, 2);
+  net.Run(*alg, kMaxRounds);
+  EXPECT_TRUE(ParseBytes(CheckpointBytes(net)) ==
+              FinalImage(g, ids, 2, /*digest_messages=*/false));
 }
 
 TEST(SnapshotTest, WriteRejectsTamperedData) {

@@ -31,7 +31,6 @@ namespace treelocal {
 namespace {
 
 using local::Algorithm;
-using local::BatchNetwork;
 using local::kNoWakeRound;
 using local::MaxRoundsExceededError;
 using local::Message;
@@ -72,8 +71,8 @@ class StagedSweep : public Algorithm {
   const int mult_;
 };
 
-// Always-visit twin of StagedSweep (same transcript, no opt-in) for the
-// mixed-batch fallback test.
+// Always-visit twin of StagedSweep (same transcript, no opt-in): the
+// engine option alone must not schedule an algorithm that did not opt in.
 class StagedSweepLegacy : public StagedSweep {
  public:
   using StagedSweep::StagedSweep;
@@ -228,40 +227,15 @@ TEST(WakeSchedulerTest, ScheduledMatchesUnscheduledOnEveryEngine) {
     EXPECT_LT(got.visits, want.visits);
   }
   {
-    // All-scheduled batch: per-instance transcripts match scheduled solos.
-    StagedSweep a0(K, 7), a1(K, 5), a2(K, 11);
-    BatchNetwork batch(g, ids, 3, 2);
-    batch.Run({&a0, &a1, &a2}, kMaxRounds);
-    EXPECT_TRUE(batch.wake_scheduled());
-    BatchNetwork pbatch(g, ids, 3, 2);
-    StagedSweep b0(K, 7), b1(K, 5), b2(K, 11);
-    pbatch.Run({&b0, &b1, &b2}, kMaxRounds);
-    EXPECT_TRUE(pbatch.wake_scheduled());
-    const int mult[3] = {7, 5, 11};
-    for (int b = 0; b < 3; ++b) {
-      Network solo(g, ids);
-      StagedSweep alg(K, mult[b]);
-      solo.Run(alg, kMaxRounds);
-      EXPECT_EQ(batch.round_digests(b), solo.round_digests()) << b;
-      EXPECT_EQ(batch.round_stats(b), solo.round_stats()) << b;
-      EXPECT_EQ(pbatch.round_digests(b), solo.round_digests()) << b;
-      int64_t batch_visits = 0, solo_visits = 0;
-      for (const auto& rs : batch.round_stats(b)) batch_visits += rs.visits;
-      for (const auto& rs : solo.round_stats()) solo_visits += rs.visits;
-      EXPECT_EQ(batch_visits, solo_visits) << b;
-      EXPECT_EQ(batch.wakes(b), solo.wakes()) << b;
-    }
-  }
-  {
-    // Mixed batch: one instance not opting in falls the whole batch back to
-    // always-visit — still transcript-correct, just without the savings.
-    StagedSweep a0(K, 7);
-    StagedSweepLegacy a1(K, 7);
-    BatchNetwork batch(g, ids, 2, 1);
-    batch.Run({&a0, &a1}, kMaxRounds);
-    EXPECT_FALSE(batch.wake_scheduled());
-    EXPECT_EQ(batch.round_digests(0), want.digests);
-    EXPECT_EQ(batch.round_digests(1), want.digests);
+    // An algorithm that does not opt in runs always-visit even with the
+    // engine option on — still transcript-correct, just without the savings.
+    Network net(g, ids, 2);
+    StagedSweepLegacy alg(K, 7);
+    EXPECT_EQ(net.Run(alg, kMaxRounds), K);
+    EXPECT_FALSE(net.wake_scheduled());
+    const Transcript got = Capture(net);
+    ExpectSameTranscript(got, want);
+    EXPECT_EQ(got.visits, want.visits);
   }
 }
 

@@ -30,7 +30,6 @@
 //       is reported so the out-of-core claim is checkable from the log.
 #include <algorithm>
 #include <cerrno>
-#include <charconv>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
@@ -52,11 +51,14 @@
 #include "src/local/network.h"
 #include "src/local/reference_network.h"
 #include "src/support/thread_pool.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
 using treelocal::CompactGraph;
 using treelocal::CompactGraphError;
+using treelocal::tools::kIntMax;
+using treelocal::tools::ParseInt;
 
 [[noreturn]] void Usage(const std::string& err) {
   if (!err.empty()) std::cerr << "error: " << err << "\n";
@@ -71,23 +73,6 @@ using treelocal::CompactGraphError;
          "caterpillar binary\n"
          "engines: network parallel reference\n";
   std::exit(2);
-}
-
-constexpr int64_t kIntMax = std::numeric_limits<int>::max();
-
-// Parses all of `s` as a decimal integer in [lo, hi]. Anything else — a
-// non-number, trailing junk, overflow — is a usage error naming `what`
-// (the flag or gen field), never a bare "stoi" from the library.
-int64_t ParseInt(const std::string& s, const std::string& what, int64_t lo,
-                 int64_t hi) {
-  int64_t v = 0;
-  const char* const end = s.data() + s.size();
-  const auto [ptr, ec] = std::from_chars(s.data(), end, v);
-  if (ec != std::errc() || ptr != end || v < lo || v > hi) {
-    Usage(what + " must be in [" + std::to_string(lo) + ", " +
-          std::to_string(hi) + "], got '" + s + "'");
-  }
-  return v;
 }
 
 // ---------------------------------------------------------------------------
@@ -324,7 +309,7 @@ int64_t StreamGenerator(const std::string& spec, ArcSorter& sorter) {
   auto arg = [&](size_t i, const char* field, int64_t lo, int64_t hi) {
     if (i >= parts.size()) Usage("gen spec '" + spec + "' is missing fields");
     return ParseInt(parts[i], "gen spec '" + spec + "' field <" + field + ">",
-                    lo, hi);
+                    lo, hi, Usage);
   };
   // Counts must fit an int; a seed is any int64.
   const auto count = [&](size_t i, const char* field) {
@@ -505,9 +490,10 @@ int main(int argc, char** argv) {
         } else if (a == "--binary") {
           opt.binary = true;
         } else if (a == "--nodes") {
-          opt.nodes = ParseInt(need(i++), a, 0, kMaxNode + 1);
+          opt.nodes = ParseInt(need(i++), a, 0, kMaxNode + 1, Usage);
         } else if (a == "--chunk-mb") {
-          opt.chunk_mb = static_cast<int>(ParseInt(need(i++), a, 1, kIntMax));
+          opt.chunk_mb =
+              static_cast<int>(ParseInt(need(i++), a, 1, kIntMax, Usage));
         } else {
           Usage("unknown convert flag '" + a + "'");
         }
@@ -525,12 +511,13 @@ int main(int argc, char** argv) {
       for (int i = 3; i < argc; ++i) {
         const std::string a = argv[i];
         if (a == "--k") {
-          opt.k = static_cast<int>(ParseInt(need(i++), a, 2, kIntMax));
+          opt.k = static_cast<int>(ParseInt(need(i++), a, 2, kIntMax, Usage));
         } else if (a == "--engine") {
           opt.engine = need(i++);
         } else if (a == "--threads") {
-          opt.threads = static_cast<int>(ParseInt(
-              need(i++), a, 1, treelocal::support::ThreadPool::kMaxThreads));
+          opt.threads = static_cast<int>(
+              ParseInt(need(i++), a, 1,
+                       treelocal::support::ThreadPool::kMaxThreads, Usage));
         } else if (a == "--relabel") {
           opt.relabel = true;
         } else if (a == "--load") {

@@ -50,6 +50,7 @@
 #include "src/local/reference_network.h"
 #include "src/local/snapshot.h"
 #include "src/support/thread_pool.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -58,6 +59,9 @@ using treelocal::local::ReadSnapshot;
 using treelocal::local::ReconstructGraph;
 using treelocal::local::SnapshotData;
 using treelocal::local::SnapshotEngineKind;
+using treelocal::tools::kIntMax;
+using treelocal::tools::ParseInt;
+using treelocal::tools::ParseU64;
 
 struct Options {
   std::string mode;
@@ -112,30 +116,28 @@ Options Parse(int argc, char** argv) {
     } else if (a == "--engine") {
       opt.engine = need(i++);
     } else if (a == "--n") {
-      opt.n = std::stoi(need(i++));
+      opt.n = static_cast<int>(ParseInt(need(i++), a, 1, kIntMax, Usage));
     } else if (a == "--seed") {
-      opt.seed = std::stoull(need(i++));
+      opt.seed = ParseU64(need(i++), a, Usage);
     } else if (a == "--k") {
-      opt.k = std::stoi(need(i++));
+      opt.k = static_cast<int>(ParseInt(need(i++), a, 2, kIntMax, Usage));
     } else if (a == "--pause") {
-      opt.pause = std::stoi(need(i++));
+      opt.pause = static_cast<int>(ParseInt(need(i++), a, -kIntMax - 1,
+                                            kIntMax, Usage));
     } else if (a == "--threads") {
-      opt.threads = std::stoi(need(i++));
-      if (opt.threads < 1 ||
-          opt.threads > treelocal::support::ThreadPool::kMaxThreads) {
-        Usage("--threads must be in [1, " +
-              std::to_string(treelocal::support::ThreadPool::kMaxThreads) +
-              "]");
-      }
+      opt.threads = static_cast<int>(
+          ParseInt(need(i++), a, 1,
+                   treelocal::support::ThreadPool::kMaxThreads, Usage));
     } else if (a == "--max-rounds") {
-      opt.max_rounds = std::stoi(need(i++));
+      opt.max_rounds = static_cast<int>(
+          ParseInt(need(i++), a, -kIntMax - 1, kIntMax, Usage));
     } else if (a == "--relabel") {
       opt.relabel = true;
     } else if (a == "--digest-messages") {
       opt.digest_messages = true;
     } else if (a == "--expect-digest") {
       opt.has_expect_digest = true;
-      opt.expect_digest = std::stoull(need(i++), nullptr, 0);
+      opt.expect_digest = ParseU64(need(i++), a, Usage);
     } else {
       Usage("unknown flag '" + a + "'");
     }
@@ -312,12 +314,7 @@ int Replay(const Options& opt) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Options opt;
-  try {
-    opt = Parse(argc, argv);
-  } catch (const std::exception& e) {  // std::stoi on a non-number
-    Usage(std::string("bad numeric argument (") + e.what() + ")");
-  }
+  const Options opt = Parse(argc, argv);
   try {
     if (opt.mode == "record") return Record(opt);
     if (opt.mode == "check") return Check(opt);

@@ -36,6 +36,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/serve/client.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -47,6 +48,9 @@ using treelocal::serve::SolveResult;
 using treelocal::serve::SolveSpec;
 using treelocal::serve::TicketState;
 using treelocal::serve::TicketStateName;
+using treelocal::tools::kIntMax;
+using treelocal::tools::ParseInt;
+using treelocal::tools::ParseU64;
 
 [[noreturn]] void Usage(const std::string& err) {
   if (!err.empty()) std::cerr << "error: " << err << "\n";
@@ -122,30 +126,31 @@ int main(int argc, char** argv) {
       return argv[++idx];
     };
     if (a == "--port") {
-      port = std::atoi(need(i).c_str());
+      port = static_cast<int>(ParseInt(need(i), a, 1, 65535, Usage));
     } else if (a == "--family") {
       family = need(i);
     } else if (a == "--n") {
-      n = std::atoi(need(i).c_str());
+      n = static_cast<int>(ParseInt(need(i), a, 1, kIntMax, Usage));
     } else if (a == "--seed") {
-      seed = std::strtoull(need(i).c_str(), nullptr, 0);
+      seed = ParseU64(need(i), a, Usage);
     } else if (a == "--kind") {
       spec.kind = KindByName(need(i));
     } else if (a == "--problem") {
       spec.problem = ProblemByName(need(i));
     } else if (a == "--k") {
-      spec.k = std::atoi(need(i).c_str());
+      spec.k = static_cast<int32_t>(ParseInt(need(i), a, 2, kIntMax, Usage));
     } else if (a == "--a") {
-      spec.a = std::atoi(need(i).c_str());
+      spec.a = static_cast<int32_t>(ParseInt(need(i), a, 1, kIntMax, Usage));
     } else if (a == "--max-rounds") {
-      spec.max_rounds = std::atoi(need(i).c_str());
+      spec.max_rounds =
+          static_cast<int32_t>(ParseInt(need(i), a, 0, kIntMax, Usage));
     } else if (a == "--cancel") {
       cancel = true;
     } else {
       Usage("unknown flag '" + a + "'");
     }
   }
-  if (port <= 0) Usage("--port is required");
+  if (port == 0) Usage("--port is required");
 
   // Pick defaults that satisfy the pipelines' validation when the user
   // asked for a theorem kind but left k at the rake-compress default.

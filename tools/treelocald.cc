@@ -17,11 +17,13 @@
 #include <cstdlib>
 #include <cstring>
 #include <iostream>
+#include <limits>
 #include <string>
 #include <thread>
 
 #include "src/serve/server.h"
 #include "src/support/thread_pool.h"
+#include "tools/flag_parse.h"
 
 namespace {
 
@@ -39,6 +41,9 @@ namespace {
 }  // namespace
 
 int main(int argc, char** argv) {
+  using treelocal::tools::kIntMax;
+  using treelocal::tools::ParseInt;
+  constexpr int64_t kSizeMax = std::numeric_limits<int64_t>::max();
   treelocal::serve::Server::Options opt;
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
@@ -47,29 +52,27 @@ int main(int argc, char** argv) {
       return argv[++idx];
     };
     if (a == "--port") {
-      opt.port = std::atoi(need(i).c_str());
+      opt.port = static_cast<int>(ParseInt(need(i), a, 0, 65535, Usage));
     } else if (a == "--threads") {
-      opt.engine_threads = std::atoi(need(i).c_str());
+      opt.engine_threads = static_cast<int>(ParseInt(
+          need(i), a, 1, treelocal::support::ThreadPool::kMaxThreads, Usage));
     } else if (a == "--max-batch") {
-      opt.max_batch = std::atoi(need(i).c_str());
+      opt.max_batch =
+          static_cast<int>(ParseInt(need(i), a, 1, kIntMax, Usage));
     } else if (a == "--slice") {
-      opt.slice_rounds = std::atoi(need(i).c_str());
+      opt.slice_rounds =
+          static_cast<int>(ParseInt(need(i), a, 1, kIntMax, Usage));
     } else if (a == "--max-graphs") {
-      opt.max_graphs = std::strtoull(need(i).c_str(), nullptr, 10);
+      opt.max_graphs =
+          static_cast<size_t>(ParseInt(need(i), a, 0, kSizeMax, Usage));
     } else if (a == "--max-graph-bytes") {
-      opt.max_graph_bytes = std::strtoull(need(i).c_str(), nullptr, 10);
+      opt.max_graph_bytes =
+          static_cast<size_t>(ParseInt(need(i), a, 0, kSizeMax, Usage));
     } else if (a == "--help" || a == "-h") {
       Usage("");
     } else {
       Usage("unknown flag '" + a + "'");
     }
-  }
-  if (opt.max_batch < 1 || opt.slice_rounds < 1 || opt.engine_threads < 1) {
-    Usage("--max-batch, --slice, and --threads must be >= 1");
-  }
-  if (opt.engine_threads > treelocal::support::ThreadPool::kMaxThreads) {
-    Usage("--threads must be <= " +
-          std::to_string(treelocal::support::ThreadPool::kMaxThreads));
   }
 
   // Route SIGINT/SIGTERM to a dedicated sigwait thread so shutdown runs on
