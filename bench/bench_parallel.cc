@@ -27,6 +27,8 @@
 #include "src/graph/generators.h"
 #include "src/local/network.h"
 #include "src/support/rng.h"
+#include "src/support/thread_pool.h"
+#include "tools/flag_parse.h"
 
 namespace treelocal {
 namespace {
@@ -106,6 +108,7 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
     json.Field("speedup", speedup);
     json.Field("transcripts_identical", identical);
     json.Field("round_seconds", par_rounds);
+    bench::HostFields(json);
   }
 
   // The serial trajectory rides along once per (n, k) so the per-T curves
@@ -126,6 +129,7 @@ bool RunScaling(const Graph& tree, const std::vector<int64_t>& ids, int k,
   json.Field("round_active_nodes", active);
   json.Field("round_messages", sent);
   json.Field("round_seconds", serial_rounds);
+  bench::HostFields(json);
   return ok;
 }
 
@@ -159,45 +163,58 @@ bool RunRelabelAblation(const Graph& tree, const std::vector<int64_t>& ids,
   json.Field("relabel_seconds", relabel_s);
   json.Field("speedup", plain_s / relabel_s);
   json.Field("transcripts_identical", identical);
+  bench::HostFields(json);
   return identical;
 }
 
 }  // namespace
 }  // namespace treelocal
 
+namespace {
+
+[[noreturn]] void Usage(const std::string& err) {
+  std::cerr << "bench_parallel: " << err << "\n"
+            << "usage: bench_parallel [--n=N] [--reps=R] [--k=K] "
+               "[--threads=a,b,c]\n";
+  std::exit(2);
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
+  using treelocal::tools::kIntMax;
+  using treelocal::tools::ParseInt;
   int n = 1 << 20;
   int reps = 3;
   int k = 2;
   std::vector<int> thread_counts = {1, 2, 4, 8};
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto intval = [&](size_t prefix) { return std::atoi(arg.c_str() + prefix); };
+    auto intval = [&](size_t prefix, const char* flag, int64_t lo) {
+      return static_cast<int>(
+          ParseInt(arg.substr(prefix), flag, lo, kIntMax, Usage));
+    };
     if (arg.rfind("--n=", 0) == 0) {
-      n = intval(4);
+      n = intval(4, "--n", 2);
     } else if (arg.rfind("--reps=", 0) == 0) {
-      reps = intval(7);
+      reps = intval(7, "--reps", 1);
     } else if (arg.rfind("--k=", 0) == 0) {
-      k = intval(4);
+      k = intval(4, "--k", 2);
     } else if (arg.rfind("--threads=", 0) == 0) {
       thread_counts.clear();
       std::stringstream ss(arg.substr(10));
       std::string tok;
       while (std::getline(ss, tok, ',')) {
-        thread_counts.push_back(std::atoi(tok.c_str()));
+        thread_counts.push_back(static_cast<int>(
+            ParseInt(tok, "--threads", 1,
+                     treelocal::support::ThreadPool::kMaxThreads, Usage)));
+      }
+      if (thread_counts.empty()) {
+        Usage("--threads needs a comma-separated list of thread counts");
       }
     } else {
-      std::cerr << "bench_parallel: unknown flag " << arg
-                << " (flags: --n= --reps= --k= --threads=a,b,c)\n";
-      return 1;
+      Usage("unknown flag " + arg);
     }
-  }
-  bool threads_valid = !thread_counts.empty();
-  for (int t : thread_counts) threads_valid &= t >= 1;
-  if (n < 2 || reps < 1 || k < 2 || !threads_valid) {
-    std::cerr << "bench_parallel: need n >= 2, reps >= 1, k >= 2 and a "
-                 "non-empty --threads list of integers >= 1\n";
-    return 1;
   }
 
   treelocal::Graph tree = treelocal::UniformRandomTree(n, 77);

@@ -1,12 +1,12 @@
 #include "src/core/forest_split.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 
 #include "src/algos/cole_vishkin.h"
 #include "src/graph/subgraph.h"
-#include "src/local/bitplane.h"
 #include "src/local/network.h"
 
 namespace treelocal {
@@ -33,6 +33,17 @@ void ColorForests(const Graph& g, const std::vector<int64_t>& ids,
     }
     result.forest_of_edge[e] = c;
   }
+}
+
+// One Cole-Vishkin step: new color = 2*i + bit_i(mine), where i is the
+// lowest bit index at which `mine` and `parent` differ. A countr_zero form
+// of cole_vishkin.cc's step, so the fused path and the per-forest oracle
+// stay two independent implementations.
+inline int64_t CvStep(int64_t mine, int64_t parent) {
+  const uint64_t diff = static_cast<uint64_t>(mine ^ parent);
+  assert(diff != 0);
+  const int i = std::countr_zero(diff);
+  return 2 * static_cast<int64_t>(i) + ((mine >> i) & 1);
 }
 
 // Fused multi-forest Cole-Vishkin over the shared atypical-edge CSR: node
@@ -73,29 +84,13 @@ class MultiForestCvAlgorithm : public local::Algorithm {
     int64_t* colors = &ctx.State<int64_t>();
     const int r = ctx.round();
     if (r >= 1 && r <= iterations_) {
-      // Gather the node's per-forest (mine, parent) colors into lane arrays
-      // and advance them all through one CV step via bitplane::CvStepLanes:
-      // wide-forest nodes (>= kCvLanesPlaneThreshold lanes) go through the
-      // transposed bit-plane kernel, 64 forests per word-op; narrow ones
-      // take its countr_zero scalar path. Bit-identical either way (the
-      // per-forest oracle parity tests pin it). thread_local scratch keeps
-      // OnRound re-entrant across engine shards.
-      thread_local std::vector<int64_t> mine_lanes, parent_lanes;
-      thread_local std::vector<int> lane_forest;
-      mine_lanes.clear();
-      parent_lanes.clear();
-      lane_forest.clear();
+      // One CV step per forest, in place; roots use the virtual parent
+      // (own color with the lowest bit flipped).
       ForEachForest(begin, end, [&](int f, int, int) {
         const int pp = (*parent_port_)[ForestSlot(v, f)];
-        mine_lanes.push_back(colors[f]);
-        // Virtual parent for roots: own color with lowest bit flipped.
-        parent_lanes.push_back(pp >= 0 ? ctx.Recv(pp).word0 : (colors[f] ^ 1));
-        lane_forest.push_back(f);
+        colors[f] = CvStep(colors[f],
+                           pp >= 0 ? ctx.Recv(pp).word0 : (colors[f] ^ 1));
       });
-      const int count = static_cast<int>(mine_lanes.size());
-      local::bitplane::CvStepLanes(mine_lanes.data(), parent_lanes.data(),
-                                   mine_lanes.data(), count);
-      for (int l = 0; l < count; ++l) colors[lane_forest[l]] = mine_lanes[l];
     } else if (r > iterations_) {
       const int phase = r - iterations_ - 1;  // 0..5
       const int block = phase / 2;

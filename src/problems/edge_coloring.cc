@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/local/bitplane.h"
-
 namespace treelocal {
 
 namespace {
@@ -91,9 +89,9 @@ void EdgeColoringProblem::SequentialAssignEdge(const Graph& g, int e,
   int used1 = AppendUsedColorsAt(g, v1, h, forbidden);
   int used2 = AppendUsedColorsAt(g, v2, h, forbidden);
   // First-fit via chunked bitmask + countr_one first-zero scan
-  // (local::bitplane::FirstMissingColor) — the sort + linear walk this
-  // replaces was the edge sweeps' per-edge O(deg log deg) inner loop.
-  const int64_t c = local::bitplane::FirstMissingColor(
+  // (FirstMissingColor) — the sort + linear walk this replaces was the
+  // edge sweeps' per-edge O(deg log deg) inner loop.
+  const int64_t c = FirstMissingColor(
       forbidden.data(), static_cast<int>(forbidden.size()));
   // Lemma 16: c <= |used1| + |used2| + 1, so with a_i = |used_i| + 1 the
   // edge constraint a1 + a2 >= c + 1 holds automatically.

@@ -1,5 +1,7 @@
 #include "src/problems/problem.h"
 
+#include <algorithm>
+#include <bit>
 #include <sstream>
 #include <vector>
 
@@ -100,6 +102,37 @@ void NodeProblem::CompleteNodes(const Graph& g, std::span<const int> nodes,
 void EdgeProblem::CompleteEdges(const Graph& g, std::span<const int> edges,
                                 HalfEdgeLabeling& h) const {
   for (int e : edges) SequentialAssignEdge(g, e, h);
+}
+
+int FirstMissingColor(const int64_t* forbidden, int count) {
+  // First-fit never exceeds count+1 colors, so a mask of bits 0..count
+  // (bit c-1 = "color c is forbidden") decides the answer; forbidden
+  // values outside [1, count+1] cannot be the first free color's blocker.
+  const int bits = count + 1;
+  const int words = (bits + 63) / 64;
+  uint64_t stack_mask[8];
+  thread_local std::vector<uint64_t> heap_mask;
+  uint64_t* mask;
+  if (words <= 8) {
+    mask = stack_mask;
+    std::fill_n(mask, words, 0ull);
+  } else {
+    heap_mask.assign(words, 0ull);
+    mask = heap_mask.data();
+  }
+  for (int i = 0; i < count; ++i) {
+    const int64_t c = forbidden[i];
+    if (c >= 1 && c <= bits) {
+      mask[(c - 1) >> 6] |= 1ull << ((c - 1) & 63);
+    }
+  }
+  for (int w = 0; w < words; ++w) {
+    const int z = std::countr_one(mask[w]);
+    // The last word's bits above `bits` are zero and only `count` bits can
+    // be set in total, so a zero bit always exists at index <= count.
+    if (z < 64) return w * 64 + z + 1;
+  }
+  return bits;  // unreachable: the mask has at most `count` of `bits` set
 }
 
 }  // namespace treelocal

@@ -1,6 +1,7 @@
 #ifndef TREELOCAL_PROBLEMS_PROBLEM_H_
 #define TREELOCAL_PROBLEMS_PROBLEM_H_
 
+#include <cstdint>
 #include <span>
 #include <string>
 
@@ -81,6 +82,14 @@ class EdgeProblem : public Problem {
   void CompleteEdges(const Graph& g, std::span<const int> edges,
                      HalfEdgeLabeling& h) const;
 };
+
+// Smallest color c >= 1 that does not appear in forbidden[0..count): the
+// first-fit step of ColoringProblem::SequentialAssign and
+// EdgeColoringProblem::SequentialAssignEdge, as a chunked 64-bit bitmask
+// and a countr_one first-zero scan. First-fit always returns
+// c <= count+1, so a mask of count+1 bits is complete and values outside
+// [1, count+1] cannot affect the answer.
+int FirstMissingColor(const int64_t* forbidden, int count);
 
 }  // namespace treelocal
 

@@ -526,10 +526,12 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
   const ResidentGraph& rg = *resident;
   const SolveSpec& spec = t->spec;
   try {
+    // At the daemon's engine thread count, like the coalesced passes.
+    local::Network net(rg.graph, rg.ids, options_.engine_threads);
     SolveResult res;
     if (spec.kind == SolveKind::kDecomposition) {
       DecompositionResult dr =
-          RunDecomposition(rg.graph, rg.ids, spec.a, 2 * spec.a, spec.k);
+          RunDecomposition(net, spec.a, 2 * spec.a, spec.k);
       res.kind = SolveKind::kDecomposition;
       res.valid = 1;
       res.engine_rounds = (uint32_t)dr.engine_rounds;
@@ -541,7 +543,7 @@ void Dispatcher::RunSolo(const TicketPtr& t) {
       auto problem =
           MakeEdgeProblem(spec.problem, std::max(1, rg.max_degree));
       Thm15Result r = SolveEdgeProblemBoundedArboricity(
-          *problem, rg.graph, rg.ids, rg.id_space, spec.a, spec.k);
+          *problem, net, rg.id_space, spec.a, spec.k);
       res.kind = SolveKind::kThm15Edge;
       res.valid = r.valid ? 1 : 0;
       res.engine_rounds = (uint32_t)r.rounds_decomposition;

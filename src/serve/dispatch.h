@@ -34,6 +34,8 @@ namespace treelocal::serve {
 //    canonical k on one engine).
 //  - kThm15Edge and kDecomposition run solo.
 //
+// Every pass and solo run uses a Network at Options::engine_threads.
+//
 // Each rake-compress run is driven in RunUntil slices. At every slice
 // boundary the dispatcher checks every live member of the pass for
 // cancellation, and the running group's members for their round budgets. A

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "src/graph/generators.h"
@@ -129,6 +131,40 @@ TEST(ColoringTest, DeltaPlusOneRespectsGlobalBound) {
     EXPECT_LE(colors[v], g.MaxDegree() + 1);
   }
   EXPECT_TRUE(problem.IsProperlyColored(g, colors));
+}
+
+// The sort + linear-walk first-fit the mask scan replaced.
+int64_t FirstMissingColorReference(std::vector<int64_t> forbidden) {
+  std::sort(forbidden.begin(), forbidden.end());
+  int64_t c = 1;
+  for (int64_t f : forbidden) {
+    if (f == c) ++c;
+  }
+  return c;
+}
+
+TEST(ColoringTest, FirstMissingColorMatchesSortScan) {
+  EXPECT_EQ(FirstMissingColor(nullptr, 0), 1);
+  Rng rng(202);
+  for (int trial = 0; trial < 400; ++trial) {
+    const int count = static_cast<int>(rng.NextBelow(300));
+    std::vector<int64_t> forbidden(count);
+    for (int i = 0; i < count; ++i) {
+      // Duplicates and out-of-reach values on purpose: first-fit answers
+      // are <= count+1, so anything larger must be ignorable.
+      forbidden[i] = static_cast<int64_t>(rng.NextBelow(count + 4)) + 1;
+    }
+    ASSERT_EQ(FirstMissingColor(forbidden.data(), count),
+              FirstMissingColorReference(forbidden))
+        << "trial " << trial << " count " << count;
+  }
+  // Dense prefix: every color 1..k present forces c = k+1 (word-boundary
+  // crossings included).
+  for (int k : {1, 63, 64, 65, 127, 128, 200}) {
+    std::vector<int64_t> forbidden(k);
+    for (int i = 0; i < k; ++i) forbidden[i] = i + 1;
+    EXPECT_EQ(FirstMissingColor(forbidden.data(), k), k + 1) << k;
+  }
 }
 
 // ---------- Edge coloring (Section 5.1 encoding) ----------

@@ -766,27 +766,52 @@ TEST_F(ServeConcurrentTest, FullQueueRejectsThenDrainsAndAccepts) {
 }
 
 // Engine-threads > 1 must not change any answer (the Network determinism
-// contract, load-bearing for serving).
+// contract, load-bearing for serving), for every request kind: the
+// coalesced rake-compress and Thm 12 passes and the solo Thm 15 and
+// decomposition runs all use the sharded engine.
 TEST_F(ServeConcurrentTest, ShardedEngineBitIdentical) {
   Server::Options opt;
   opt.engine_threads = 3;
   StartServer(opt);
   const Graph tree = UniformRandomTree(300, 29);
-  const Expected e2 = ExpectRake(tree, 2);
-  const Expected e7 = ExpectRake(tree, 7);
 
   auto c = Connect();
   const uint64_t key = Register(*c, tree);
-  for (const auto& [k, e] : {std::pair<int, Expected>{2, e2}, {7, e7}}) {
-    SolveSpec spec;
-    spec.k = k;
+  auto expect_solo = [&](const SolveSpec& spec, const Expected& e) {
     SolveResult result;
     std::string error;
     ASSERT_TRUE(c->SolveAndWait(key, spec, &result, &error)) << error;
-    EXPECT_EQ(result.digest, e.digest) << "k=" << k;
-    EXPECT_EQ(result.engine_rounds, e.engine_rounds) << "k=" << k;
-    EXPECT_EQ(result.messages, e.messages) << "k=" << k;
+    EXPECT_EQ(result.digest, e.digest) << "kind " << (int)spec.kind;
+    EXPECT_EQ(result.engine_rounds, e.engine_rounds)
+        << "kind " << (int)spec.kind;
+    EXPECT_EQ(result.messages, e.messages) << "kind " << (int)spec.kind;
+  };
+  for (int k : {2, 7}) {
+    SolveSpec spec;
+    spec.k = k;
+    expect_solo(spec, ExpectRake(tree, k));
   }
+  SolveSpec spec;
+  spec.kind = SolveKind::kThm12Node;
+  spec.problem = ProblemId::kColoringDeltaPlusOne;
+  spec.k = 3;
+  expect_solo(spec, ExpectThm12(tree, 3));
+
+  spec.kind = SolveKind::kThm15Edge;
+  spec.problem = ProblemId::kEdgeColoringEdgeDegreePlusOne;
+  spec.a = 1;
+  spec.k = 5;
+  EdgeColoringProblem problem(EdgeColoringProblem::Mode::kEdgeDegreePlusOne,
+                              tree.MaxDegree());
+  const Thm15Result thm15 = SolveEdgeProblemBoundedArboricity(
+      problem, tree, IotaIds(tree.NumNodes()), tree.NumNodes(), 1, 5);
+  ASSERT_TRUE(thm15.valid) << thm15.why;
+  expect_solo(spec, {(uint32_t)thm15.rounds_decomposition,
+                     thm15.engine_messages,
+                     FoldDigest(thm15.decomposition.round_stats)});
+
+  spec.kind = SolveKind::kDecomposition;
+  expect_solo(spec, ExpectDecomp(tree, 1, 5));
   server_->Stop();
 }
 

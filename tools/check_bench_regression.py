@@ -63,11 +63,6 @@ SPEEDUP_FLOORS = {
     # Dedup runs strictly fewer solo runs; a collapse below 0.8 means the
     # fan-out copy started dominating the saved engine work.
     "batched_k_sweep_dedup": 0.8,
-    # Bit-plane CV lanes vs B solo scalar Network runs: the planes must win
-    # at every recorded size (the word-parallel round pass touches ~planes/8
-    # bytes per instance against 24-byte scalar mailbox slots); 1.0 is the
-    # smoke floor, the 2x claim is gated on acceptance-sized records below.
-    "bitplane_cv_batch": 1.0,
     # Engine-native Thm 3/15 pipeline vs the legacy oracle on whole-pipeline
     # runs (loose: small-n records are noise-dominated; the hard 1.0 floor
     # lives on the acceptance-sized phase-2/3 record below).
@@ -96,20 +91,14 @@ COMPACT_RATIO_BACKSTOP = 3.2
 
 ACCEPTANCE_FLOORS = {
     "edge_pipeline_phase23": 0.8,
-    # The bit-plane batch kernels' headline claim: >= 2x instance
-    # throughput over B = 64 solo scalar runs on the acceptance-sized
-    # dense-round workload. Unlike the parity-level floors above, 2.0 is
-    # far from the noise band (measured ~23x against 64 solo runs at
-    # n = 2^16 on a 4-vCPU Xeon), so a breach means the word-parallel path
-    # actually collapsed.
-    "bitplane_cv_batch": 2.0,
 }
 
 
 # Fields bench::HostFields writes, and the experiments that must carry them.
 HOST_FIELDS = ("host_nproc", "host_cpu_model", "host_compiler",
                "host_build_type")
-HOST_STAMPED_EXPERIMENTS = {"rake_compress_engine_acceptance"}
+HOST_STAMPED_EXPERIMENTS = {"rake_compress_engine_acceptance",
+                            "relabel_ablation"}
 
 
 def fail(msgs, record, what):
@@ -191,18 +180,6 @@ def check_record(rec, msgs):
             fail(msgs, rec, f"speedup is not finite: {speedup}")
         elif speedup < floor:
             fail(msgs, rec, f"speedup {speedup:.3f} below floor {floor}")
-
-    # Records carrying the explicit bitplane_speedup field are gated even if
-    # their experiment name is ever reshuffled: 2.0 on acceptance-sized
-    # runs, 1.0 on smoke sizes.
-    bp = rec.get("bitplane_speedup")
-    if bp is not None:
-        bp_floor = 2.0 if rec.get("acceptance") is True else 1.0
-        if not isinstance(bp, (int, float)) or not math.isfinite(bp):
-            fail(msgs, rec, f"bitplane_speedup is not finite: {bp}")
-        elif bp < bp_floor:
-            fail(msgs, rec,
-                 f"bitplane_speedup {bp:.3f} below floor {bp_floor}")
 
     if exp == "batched_k_sweep_dedup":
         if rec.get("dedup_factor", 0) < 1.0:
